@@ -17,12 +17,12 @@ import numpy as np
 
 from .caps import DEFAULT_CAPS
 from .errors import CapExceeded, MixedRings
-from .rings import FiniteRing, Ideal, RingHom, _span
+from .rings import FiniteRing, RingHom, _span, _sum_members, _trusted_ideal
 
 
 def generate_ideal(R, gens):
     """Smallest ideal of R containing the given element indices."""
-    return Ideal(R, _span(R, tuple(gens)))
+    return _trusted_ideal(R, _span(R, gens))
 
 
 @dataclass(frozen=True)
@@ -71,20 +71,20 @@ def enumerate_ideals(R, caps=DEFAULT_CAPS):
         if len(cached) > caps.max_ideals:
             raise CapExceeded(f"{len(cached)} ideals exceed cap {caps.max_ideals}")
         return cached
-    seen = {generate_ideal(R, (x,)).members for x in R.elements}
+    seen = set(R.principal)
     if len(seen) > caps.max_ideals:
         raise CapExceeded(f"ideal count exceeds cap {caps.max_ideals}")
     frontier = list(seen)
     while frontier:
         m = frontier.pop()
         for other in list(seen):
-            s = _span(R, tuple(m | other))
+            s = _sum_members(R, m, other)
             if s not in seen:
                 if len(seen) >= caps.max_ideals:
                     raise CapExceeded(f"ideal count exceeds cap {caps.max_ideals}")
                 seen.add(s)
                 frontier.append(s)
-    ideals = tuple(sorted((Ideal(R, m) for m in seen), key=lambda a: a.sort_key))
+    ideals = tuple(sorted((_trusted_ideal(R, m) for m in seen), key=lambda a: a.sort_key))
     n = len(ideals)
     leq = np.zeros((n, n), dtype=bool)
     for i, a in enumerate(ideals):
@@ -111,48 +111,57 @@ def _same_ring(a, b):
 
 
 def ideal_sum(a, b):
+    """a + b = {x + y : x in a, y in b}, an ideal because a and b are."""
     R = _same_ring(a, b)
-    return Ideal(R, _span(R, tuple(a.members | b.members)))
+    return _trusted_ideal(R, _sum_members(R, a.members, b.members))
 
 
 def ideal_intersect(a, b):
+    """Meet of two ideals; an intersection of ideals is an ideal."""
     R = _same_ring(a, b)
-    return Ideal(R, a.members & b.members)
+    return _trusted_ideal(R, a.members & b.members)
 
 
 def ideal_product(a, b):
+    """The span of all products x*y, the smallest ideal containing them."""
     R = _same_ring(a, b)
-    prods = {int(R.mul[x, y]) for x in a.members for y in b.members}
-    return Ideal(R, _span(R, tuple(prods)))
+    mul = R.mul_rows
+    prods = {mul[x][y] for x in a.members for y in b.members}
+    return _trusted_ideal(R, _span(R, prods))
 
 
 def radical(a):
-    """{x : x^k in a for some k}; powers of an element cycle, so k <= |R|."""
+    """{x : x^k in a for some k}; powers of an element cycle, so k <= |R|.
+
+    The radical of an ideal is an ideal (the nilradical of R/a pulled back).
+    """
     R = a.ring
+    m = a.members
     out = set()
-    for x in R.elements:
+    for x, row in enumerate(R.mul_rows):
         p = x
         for _ in range(R.size):
-            if p in a.members:
+            if p in m:
                 out.add(x)
                 break
-            p = int(R.mul[p, x])
-    return Ideal(R, frozenset(out))
+            p = row[p]
+    return _trusted_ideal(R, frozenset(out))
 
 
 def contraction(f: RingHom, b):
     """Preimage of an ideal of the target; always an ideal of the source."""
     if b.ring is not f.target:
         raise MixedRings("ideal does not belong to the hom's target")
-    return Ideal(f.source, frozenset(x for x in f.source.elements if f.map[x] in b.members))
+    m = b.members
+    return _trusted_ideal(f.source, frozenset(x for x, y in enumerate(f.map) if y in m))
 
 
 def jacobson_radical(R, caps=DEFAULT_CAPS):
-    """Intersection of all maximal ideals."""
+    """Intersection of all maximal ideals, itself an ideal."""
     lat = enumerate_ideals(R, caps)
     maxs = lat.maximal_ideals()
     members = reduce(lambda m, a: m & a.members, maxs, frozenset(R.elements))
-    return Ideal(R, members)
+    return _trusted_ideal(R, members)
 
 
 # ---------------------------------------------------------------------------
@@ -188,22 +197,20 @@ def _is_prime(a):
     R = a.ring
     if not a.proper:
         return False
-    out = [x for x in R.elements if x not in a.members]
-    return all(R.mul[x, y] not in a.members for x in out for y in out)
+    m, mul = a.members, R.mul_rows
+    out = [x for x in R.elements if x not in m]
+    return all(mul[x][y] not in m for x in out for y in out)
 
 
 def _is_primary(a):
     R = a.ring
     if not a.proper:
         return False
+    m, mul = a.members, R.mul_rows
     rad = radical(a).members
-    for x in R.elements:
-        if x in a.members:
-            continue
-        for y in R.elements:
-            if R.mul[x, y] in a.members and x not in a.members and y not in rad:
-                return False
-    return True
+    outside_rad = [y for y in R.elements if y not in rad]
+    return all(mul[x][y] not in m
+               for x in R.elements if x not in m for y in outside_rad)
 
 
 def _is_nilpotent_ideal(a):
@@ -244,7 +251,7 @@ def classify(a, kind, caps=DEFAULT_CAPS):
     if kind is SpectrumKind.NIP:
         return _is_nilpotent_ideal(a)
     if kind is SpectrumKind.PRN:
-        return any(_span(R, (x,)) == a.members for x in a.members)
+        return any(R.principal[x] == a.members for x in a.members)
     if kind is SpectrumKind.REG:
         return any(not R.is_zero_divisor(x) for x in a.members)
 

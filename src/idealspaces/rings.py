@@ -1,9 +1,17 @@
 """Finite commutative rings with identity, stored as dense operation tables.
 
 A ring is a pair of ``size x size`` numpy tables over element indices
-``0..size-1`` together with distinguished ``zero`` and ``one`` indices.  All
-constructors validate the axioms exhaustively; the tables are small by design
-(capped at 64 elements by default), so the vectorised triple loops are cheap.
+``0..size-1`` together with distinguished ``zero`` and ``one`` indices.  Ring
+and hom constructors validate the axioms exhaustively on the numpy tables; the
+tables are small by design (capped at 64 elements by default), so the
+vectorised triple loops are cheap.  Element-by-element work reads the same
+tables as rows of Python ints (``add_rows``, ``mul_rows``), built lazily once
+per ring, because indexing numpy scalars inside Python loops is slow.
+
+``Ideal(R, members)`` validates the ideal axioms, so any set given from
+outside is checked.  Builders whose result is an ideal by construction (spans,
+sums, products, intersections, radicals, preimages) use ``_trusted_ideal``,
+which skips that check; each says why its result is an ideal.
 
 Rings compare by identity and are immutable after construction, so they are
 safe to share and to use as cache keys.
@@ -96,18 +104,40 @@ class FiniteRing:
     def name(self, x):
         return self.names[x]
 
+    @cached_property
+    def add_rows(self):
+        """``add_rows[a][b]`` is a+b, as tuples of Python ints."""
+        return tuple(map(tuple, self.add.tolist()))
+
+    @cached_property
+    def mul_rows(self):
+        """``mul_rows[a][b]`` is a*b, as tuples of Python ints."""
+        return tuple(map(tuple, self.mul.tolist()))
+
+    @cached_property
+    def principal(self):
+        """``principal[g]`` is the member set of R·g = {r*g : r in R}.
+
+        R·g is already an ideal, with no additive closure needed: it holds
+        0·g and g = 1·g, r·g + s·g = (r+s)·g and s·(r·g) = (s·r)·g.
+        """
+        # one frozenset per distinct ideal: many generators share one
+        distinct = {}
+        return tuple(distinct.setdefault(s, s) for s in map(frozenset, self.mul_rows))
+
     def pow(self, x, k):
         """x**k with x**0 = 1."""
+        row = self.mul_rows[x]
         acc = self.one
         for _ in range(k):
-            acc = int(self.mul[acc, x])
+            acc = row[acc]
         return acc
 
     def sub(self, a, b):
-        return int(self.add[a, self.neg[b]])
+        return self.add_rows[a][int(self.neg[b])]
 
     def is_unit(self, x):
-        return self.one in self.mul[x]
+        return self.one in self.principal[x]
 
     @cached_property
     def units(self):
@@ -115,26 +145,38 @@ class FiniteRing:
 
     @cached_property
     def idempotents(self):
-        return tuple(x for x in self.elements if self.mul[x, x] == x)
+        mul = self.mul_rows
+        return tuple(x for x in self.elements if mul[x][x] == x)
 
     def is_nilpotent(self, x):
+        mul = self.mul_rows
         seen = set()
         while x not in seen:
             if x == self.zero:
                 return True
             seen.add(x)
-            x = int(self.mul[x, x])
+            x = mul[x][x]
         return x == self.zero
 
     def is_zero_divisor(self, x):
         """True when x*y = 0 for some nonzero y (zero itself counts)."""
-        row = self.mul[x]
-        return any(row[y] == self.zero for y in self.elements if y != self.zero)
+        # x*0 = 0 always, so a second zero in the row is a nonzero y
+        return self.mul_rows[x].count(self.zero) > 1
 
 
 @dataclass(frozen=True)
 class Ideal:
-    """An ideal given by its member set; ``proper`` is False exactly for R."""
+    """An ideal given by its member set; ``proper`` is False exactly for R.
+
+    The public constructor checks that the members are element indices of
+    the ring and validates the ideal axioms (zero, closure under addition,
+    absorption), so a member set from outside is always checked.
+    The library's own builders construct through ``_trusted_ideal`` instead,
+    which skips the check: their results are ideals by construction, being
+    principal ideals R·g, sums and intersections of ideals, spans, radicals,
+    or preimages of ideals under ring homs.  ``tests/test_ideals.py``
+    certifies every such builder against a subset-filter oracle.
+    """
 
     ring: FiniteRing
     members: frozenset
@@ -142,12 +184,16 @@ class Ideal:
     def __post_init__(self):
         R = self.ring
         m = self.members
+        if not set(R.elements).issuperset(m):
+            raise RingAxiomError("ideal members must be element indices of the ring")
         if R.zero not in m:
             raise RingAxiomError("ideal must contain zero")
+        add, principal = R.add_rows, R.principal
         for a in m:
-            if any(R.add[a, b] not in m for b in m):
+            row = add[a]
+            if any(row[b] not in m for b in m):
                 raise RingAxiomError("ideal not closed under addition")
-            if any(R.mul[r, a] not in m for r in R.elements):
+            if not principal[a] <= m:
                 raise RingAxiomError("ideal does not absorb ring multiplication")
 
     @property
@@ -192,29 +238,42 @@ class Ideal:
         return f"Ideal({self.name} of {self.ring.label})"
 
 
+def _trusted_ideal(R, members):
+    """An Ideal of R from a frozenset the caller knows to be an ideal.
+
+    Skips ``Ideal.__post_init__`` (and so its O(|a|·|R|) validation); only
+    for builders whose result is an ideal by construction.
+    """
+    a = object.__new__(Ideal)
+    object.__setattr__(a, "ring", R)
+    object.__setattr__(a, "members", members)
+    return a
+
+
+def _sum_members(R, a, b):
+    """{x + y : x in a, y in b}: the sum of two ideals, itself an ideal."""
+    add = R.add_rows
+    return frozenset([add[x][y] for x in a for y in b])
+
+
 def _span(R, seed):
-    """Smallest ideal member-set containing ``seed``: multiples, then sums."""
-    acc = {R.zero}
-    mults = set()
+    """Smallest ideal member-set containing ``seed``.
+
+    A fold over the seed: the accumulator is always an ideal, and each
+    generator not yet in it adds the principal ideal R·g by an ideal sum.
+    """
+    acc = frozenset((R.zero,))
     for g in seed:
-        mults.update(int(R.mul[r, g]) for r in R.elements)
-    acc |= mults
-    frontier = list(acc)
-    while frontier:
-        x = frontier.pop()
-        for y in list(acc):
-            s = int(R.add[x, y])
-            if s not in acc:
-                acc.add(s)
-                frontier.append(s)
-    return frozenset(acc)
+        if g not in acc:
+            acc = _sum_members(R, acc, R.principal[g])
+    return acc
 
 
 def _minimal_generators(a):
     """Canonical small generating set, singletons first, then greedy."""
     R = a.ring
     for x in sorted(a.members):
-        if _span(R, (x,)) == a.members:
+        if R.principal[x] == a.members:
             return (x,)
     gens = []
     have = frozenset({R.zero})
@@ -226,12 +285,12 @@ def _minimal_generators(a):
 
 
 def zero_ideal(R):
-    return Ideal(R, frozenset({R.zero}))
+    return _trusted_ideal(R, frozenset({R.zero}))
 
 
 def unit_ideal(R):
     """The improper ideal R itself (proper flag False)."""
-    return Ideal(R, frozenset(R.elements))
+    return _trusted_ideal(R, frozenset(R.elements))
 
 
 @dataclass(frozen=True)
@@ -261,8 +320,10 @@ class RingHom:
         return self.map[x]
 
     def kernel(self):
-        return Ideal(self.source, frozenset(x for x in self.source.elements
-                                            if self.map[x] == self.target.zero))
+        """The preimage of zero, an ideal because the map is a ring hom."""
+        zero = self.target.zero
+        return _trusted_ideal(self.source,
+                              frozenset(x for x, y in enumerate(self.map) if y == zero))
 
     def is_surjective(self):
         return len(set(self.map)) == self.target.size
@@ -285,6 +346,7 @@ class MultiplicativeSet:
 
 def multiplicative_closure(R, gens):
     """Close ``gens`` under multiplication and adjoin 1."""
+    mul = R.mul_rows
     members = {R.one}
     frontier = [R.one]
     for g in gens:
@@ -292,9 +354,9 @@ def multiplicative_closure(R, gens):
             members.add(g)
             frontier.append(g)
     while frontier:
-        x = frontier.pop()
+        row = mul[frontier.pop()]
         for y in list(members):
-            p = int(R.mul[x, y])
+            p = row[y]
             if p not in members:
                 members.add(p)
                 frontier.append(p)
@@ -309,6 +371,8 @@ def make_zmod(n, caps=DEFAULT_CAPS, label=None):
     """The ring of integers modulo n."""
     if n < 2:
         raise InvalidSize(f"Z{n} is not a ring with 0 != 1")
+    if n > caps.max_ring_size:  # before building the n x n tables
+        raise CapExceeded(f"ring size {n} exceeds cap {caps.max_ring_size}")
     add = [[(a + b) % n for b in range(n)] for a in range(n)]
     mul = [[(a * b) % n for b in range(n)] for a in range(n)]
     return FiniteRing(add, mul, 0, 1, label or f"Z{n}", caps=caps)
@@ -349,8 +413,8 @@ def make_product(rings, caps=DEFAULT_CAPS, label=None):
         ti = decode(i)
         for j in range(total):
             tj = decode(j)
-            add[i][j] = encode(tuple(int(R.add[a, b]) for R, a, b in zip(rings, ti, tj)))
-            mul[i][j] = encode(tuple(int(R.mul[a, b]) for R, a, b in zip(rings, ti, tj)))
+            add[i][j] = encode(tuple(R.add_rows[a][b] for R, a, b in zip(rings, ti, tj)))
+            mul[i][j] = encode(tuple(R.mul_rows[a][b] for R, a, b in zip(rings, ti, tj)))
     names = ["(" + ",".join(R.name(x) for R, x in zip(rings, decode(i))) + ")"
              for i in range(total)]
     zero = encode(tuple(R.zero for R in rings))
@@ -380,18 +444,17 @@ def make_quotient(R, a, caps=DEFAULT_CAPS, label=None):
     for r in R.elements:
         if r in coset_of:
             continue
-        coset = sorted(int(R.add[r, m]) for m in a.members)
+        row = R.add_rows[r]
+        coset = sorted(row[m] for m in a.members)
         rep = coset[0]
         reps.append(rep)
         for x in coset:
             coset_of[x] = rep
     reps.sort()
     index_of = {rep: i for i, rep in enumerate(reps)}
-    k = len(reps)
-    add = [[index_of[coset_of[int(R.add[reps[i], reps[j]])]] for j in range(k)]
-           for i in range(k)]
-    mul = [[index_of[coset_of[int(R.mul[reps[i], reps[j]])]] for j in range(k)]
-           for i in range(k)]
+    radd, rmul = R.add_rows, R.mul_rows
+    add = [[index_of[coset_of[radd[i][j]]] for j in reps] for i in reps]
+    mul = [[index_of[coset_of[rmul[i][j]]] for j in reps] for i in reps]
     names = [R.name(rep) for rep in reps]
     Q = FiniteRing(add, mul, index_of[coset_of[R.zero]], index_of[coset_of[R.one]],
                    label or f"{R.label}/{a.name}", names=names, caps=caps)
@@ -408,25 +471,25 @@ def localize(R, S, caps=DEFAULT_CAPS, label=None):
     """
     if R.zero in S.members:
         raise ZeroInMultiplicativeSet("0 in S would collapse the ring")
-    p = reduce(lambda x, y: int(R.mul[x, y]), sorted(S.members), R.one)
+    radd, rmul = R.add_rows, R.mul_rows
+    p = reduce(lambda x, y: rmul[x][y], sorted(S.members), R.one)
     e = p
     for _ in range(2 * R.size):
-        if R.mul[e, e] == e:
+        if rmul[e][e] == e:
             break
-        e = int(R.mul[e, p])
+        e = rmul[e][p]
     else:  # pragma: no cover - impossible: powers of p must hit an idempotent
         raise RingAxiomError("no idempotent power found")
-    members = sorted({int(R.mul[e, r]) for r in R.elements})
+    members = sorted(R.principal[e])
     index_of = {x: i for i, x in enumerate(members)}
-    k = len(members)
-    add = [[index_of[int(R.add[members[i], members[j]])] for j in range(k)] for i in range(k)]
-    mul = [[index_of[int(R.mul[members[i], members[j]])] for j in range(k)] for i in range(k)]
+    add = [[index_of[radd[x][y]] for y in members] for x in members]
+    mul = [[index_of[rmul[x][y]] for y in members] for x in members]
     names = [R.name(x) for x in members]
     gens_label = ",".join(R.name(g) for g in S.gens) if S.gens else ",".join(
         R.name(x) for x in sorted(S.members))
     L = FiniteRing(add, mul, index_of[R.zero], index_of[e],
                    label or f"{R.label}@({gens_label})", names=names, caps=caps)
-    hom = RingHom(R, L, tuple(index_of[int(R.mul[e, r])] for r in R.elements))
+    hom = RingHom(R, L, tuple(index_of[x] for x in rmul[e]))
     for s in S.members:
         if not L.is_unit(hom(s)):  # pragma: no cover - guaranteed by construction
             raise RingAxiomError("localized image of S member is not a unit")
@@ -448,6 +511,7 @@ def _hom_search(src, tgt, injective, find_all, cap):
         raise CapExceeded(
             f"hom search space {src.size}x{tgt.size} exceeds cap {cap}")
     results = []
+    tables = ((src.add_rows, tgt.add_rows), (src.mul_rows, tgt.mul_rows))
 
     def propagate(f):
         # returns closed map or None on contradiction
@@ -457,9 +521,9 @@ def _hom_search(src, tgt, injective, find_all, cap):
             known = [x for x in src.elements if f[x] >= 0]
             for a in known:
                 for b in known:
-                    for table, ttable in ((src.add, tgt.add), (src.mul, tgt.mul)):
-                        c = int(table[a, b])
-                        v = int(ttable[f[a], f[b]])
+                    for table, ttable in tables:
+                        c = table[a][b]
+                        v = ttable[f[a]][f[b]]
                         if f[c] < 0:
                             f[c] = v
                             changed = True
@@ -508,5 +572,5 @@ def is_isomorphic(R, S, caps=DEFAULT_CAPS):
 
 def is_von_neumann_regular(R):
     """Every a admits x with a = a*x*a; finite cases are products of fields."""
-    return all(any(R.mul[int(R.mul[a, x]), a] == a for x in R.elements)
-               for a in R.elements)
+    mul = R.mul_rows
+    return all(any(mul[mul[a][x]][a] == a for x in R.elements) for a in R.elements)

@@ -21,7 +21,7 @@ from .ideals import (
     witness_order,
 )
 from .reports import FAILS, HOLDS, VACUOUS, VerdictReport, w_ideal
-from .rings import Ideal, RingHom, unit_ideal
+from .rings import RingHom, _trusted_ideal, unit_ideal
 
 
 class Spectrum:
@@ -132,7 +132,7 @@ def kernel(S):
         return unit_ideal(spec.ring)
     members = reduce(lambda m, p: m & p.members, S.ideals,
                      frozenset(spec.ring.elements))
-    return Ideal(spec.ring, members)
+    return _trusted_ideal(spec.ring, members)  # a meet of ideals
 
 
 def image_of_kernel(spec):
@@ -147,7 +147,7 @@ def image_of_kernel(spec):
             if c not in seen:
                 seen.add(c)
                 frontier.append(c)
-    out = [Ideal(spec.ring, m) for m in seen]
+    out = [_trusted_ideal(spec.ring, m) for m in seen]  # meets of ideals
     out.append(unit_ideal(spec.ring))
     return sorted(out, key=lambda a: a.sort_key)
 
@@ -196,7 +196,7 @@ def kuratowski_union_axiom(spec):
 
 
 def ideal_intersect_members(R, a, b):
-    return Ideal(R, a.members & b.members)
+    return _trusted_ideal(R, a.members & b.members)  # a meet of ideals
 
 
 def has_partition_of_unity(spec):

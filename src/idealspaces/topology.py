@@ -346,10 +346,11 @@ def extract_idempotent(T, pair):
         raise HypothesisViolated("hulls are not disjoint")
     if ha | hb != spec.full_mask:
         raise HypothesisViolated("hulls do not cover the spectrum")
+    add, mul = R.add_rows, R.mul_rows
     for x in sorted(a.members):
         for y in sorted(b.members):
-            if R.add[x, y] == R.one:
-                if R.mul[x, y] != R.zero or R.mul[x, x] != x:
+            if add[x][y] == R.one:
+                if mul[x][y] != R.zero or mul[x][x] != x:
                     raise HypothesisViolated(
                         "decomposition of 1 is not orthogonal idempotent")
                 if x in (R.zero, R.one):

@@ -1232,6 +1232,22 @@ def verify_homeomorphism(f, T1, T2):
 # counterexample search
 
 
+def _split_top_level(text):
+    """Split on the commas outside parentheses, so ``Z6xZ6/((2,2)),Z4`` gives
+    two expressions."""
+    parts, depth, start = [], 0, 0
+    for i, ch in enumerate(text):
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+        elif ch == "," and depth == 0:
+            parts.append(text[start:i])
+            start = i + 1
+    parts.append(text[start:])
+    return parts
+
+
 def _family_rings(family, caps):
     from .exprs import parse_ring_expression
 
@@ -1239,7 +1255,7 @@ def _family_rings(family, caps):
         lo, _, hi = family[5:].partition("..")
         return [parse_ring_expression(f"Z{n}", caps) for n in range(int(lo), int(hi) + 1)]
     if family.startswith("exprs:"):
-        return [parse_ring_expression(e, caps) for e in family[6:].split(",") if e]
+        return [parse_ring_expression(e, caps) for e in _split_top_level(family[6:]) if e]
     raise IdealSpacesError(f"unknown family spec {family!r}; "
                            "use zmod:LO..HI or exprs:A,B,...")
 

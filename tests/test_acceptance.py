@@ -5,7 +5,8 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 Criterion 6a is implemented faithfully and marked strict-xfail: the T1
 characterization is falsified on antichain spectra without maximal points
 (e.g. the minimal-ideal spectrum of Z12 is discrete, hence T1, yet none of
-its points is maximal).  See notes/decisions.md for the analysis.
+its points is maximal).  See the README section "Findings (honest failures)"
+for the analysis.
 """
 
 import os

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from idealspaces import (
     ALL_KINDS,
+    DEFAULT_CAPS,
     MixedRings,
     SpectrumKind,
     classify,
@@ -14,11 +15,22 @@ from idealspaces import (
     ideal_intersect,
     ideal_product,
     ideal_sum,
+    jacobson_radical,
     make_quotient,
     make_zmod,
     radical,
+    unit_ideal,
     zero_ideal,
 )
+from idealspaces.rings import _span
+from idealspaces.spectra import (
+    PointSet,
+    ideal_intersect_members,
+    image_of_kernel,
+    kernel,
+    make_spectrum,
+)
+from idealspaces.verify import _localization_homs, _quotient_homs
 from oracles import brute_force_ideal_sets, brute_force_is_prime, brute_force_radical_members
 
 
@@ -176,3 +188,39 @@ class TestContraction:
         f = enumerate_homs(R, S)[0]
         assert contraction(f, zero_ideal(S)).members == f.kernel().members
         assert not contraction(f, generate_ideal(S, [1])).proper
+
+
+class TestTrustedBuilders:
+    """Builders that skip ``Ideal`` validation, certified by the subset-filter
+    oracle on every suite ring small enough for it."""
+
+    def test_outputs_are_genuine_ideals(self, small_rings):
+        for R in small_rings:
+            oracle = brute_force_ideal_sets(R)
+            lat = enumerate_ideals(R)
+            built = [zero_ideal(R), unit_ideal(R), jacobson_radical(R), *lat.ideals]
+            built += [generate_ideal(R, (x,)) for x in R.elements]
+            for a in lat.ideals:
+                built.append(radical(a))
+                for b in lat.ideals:
+                    built += [ideal_sum(a, b), ideal_intersect(a, b), ideal_product(a, b),
+                              ideal_intersect_members(R, a, b)]
+            for kind in ALL_KINDS:
+                spec = make_spectrum(R, kind)
+                built += image_of_kernel(spec)
+                built += [kernel(PointSet(spec, m)) for m in range(1 << len(spec))]
+            homs = [f for _, _, f in _quotient_homs(R, DEFAULT_CAPS)]
+            homs += [f for _, _, f in _localization_homs(R, DEFAULT_CAPS)]
+            for f in homs:
+                built.append(f.kernel())
+                built += [contraction(f, b) for b in enumerate_ideals(f.target).ideals]
+            for a in built:
+                assert a.ring is R and a.members in oracle, (R.label, a)
+
+    def test_span_is_the_smallest_oracle_ideal_over_the_seed(self, small_rings):
+        for R in small_rings:
+            oracle = brute_force_ideal_sets(R)
+            for mask in range(1 << R.size):
+                seed = [x for x in R.elements if mask >> x & 1]
+                smallest = min((a for a in oracle if a.issuperset(seed)), key=len)
+                assert _span(R, seed) == smallest, (R.label, seed)

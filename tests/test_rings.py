@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,7 +27,7 @@ from idealspaces import (
     multiplicative_closure,
     zero_ideal,
 )
-from idealspaces.rings import FiniteRing
+from idealspaces.rings import FiniteRing, Ideal
 
 
 class TestMakeZmod:
@@ -52,6 +54,17 @@ class TestMakeZmod:
             make_zmod(100)
         make_zmod(100, caps=Caps(max_ring_size=128))
 
+    def test_cap_is_checked_before_building_tables(self):
+        # parsing untrusted text such as "Z99999" must not allocate n^2 cells
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapExceeded):
+                make_zmod(1000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20  # the 1000 x 1000 tables take tens of MiB
+
     @given(st.integers(min_value=2, max_value=30))
     @settings(max_examples=15, deadline=None)
     def test_constructor_validates_axioms(self, n):
@@ -63,6 +76,35 @@ class TestMakeZmod:
         mul[2, 3] = 1  # breaks commutativity
         with pytest.raises(RingAxiomError):
             FiniteRing(R.add, mul, 0, 1, "broken")
+
+
+class TestIdealValidation:
+    """The public constructor checks every axiom; in Z2xZ2, (1,0) = 1,
+    (0,1) = 2 and (1,1) = 3."""
+
+    def test_rejects_a_set_without_zero(self, ring):
+        with pytest.raises(RingAxiomError, match="zero"):
+            Ideal(ring("Z2xZ2"), frozenset({1}))
+
+    def test_rejects_a_set_not_closed_under_addition(self, ring):
+        # absorbs multiplication, but (1,0) + (0,1) = (1,1) is missing
+        with pytest.raises(RingAxiomError, match="addition"):
+            Ideal(ring("Z2xZ2"), frozenset({0, 1, 2}))
+
+    def test_rejects_a_subgroup_that_does_not_absorb(self, ring):
+        # closed under addition, but (1,0)*(1,1) = (1,0) is missing
+        with pytest.raises(RingAxiomError, match="absorb"):
+            Ideal(ring("Z2xZ2"), frozenset({0, 3}))
+
+    def test_rejects_indices_outside_the_ring(self, ring):
+        # -3 would otherwise index element 1 and pass every other check
+        for members in ({0, 1, -3}, {0, 99}):
+            with pytest.raises(RingAxiomError, match="element indices"):
+                Ideal(ring("Z2xZ2"), frozenset(members))
+
+    def test_accepts_an_ideal(self, ring):
+        R = ring("Z2xZ2")
+        assert Ideal(R, frozenset({0, 1})) == generate_ideal(R, [1])
 
 
 class TestMakeProduct:

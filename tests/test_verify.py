@@ -240,6 +240,12 @@ class TestSearch:
         for cid in ALL_CHECK_IDS:
             assert search_counterexamples(cid, "exprs:Z2,Z3,Z5") == [], cid
 
+    def test_exprs_family_keeps_commas_inside_parentheses(self):
+        hits = search_counterexamples("T03", "exprs:Z6xZ6/((2,2)),Z12@(2,5),Z12",
+                                      kinds=("prp",))
+        # Z12@(2,5) is the field Z3, so only the other two fail
+        assert [h["ring"] for h in hits] == ["Z6xZ6/((2,2))", "Z12"]
+
     def test_results_ordered_by_point_count(self):
         hits = search_counterexamples("T03", "zmod:2..40", kinds=("prp",))
         sizes = [h["points"] for h in hits]
