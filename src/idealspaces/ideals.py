@@ -1,17 +1,16 @@
 """Ideal lattices: enumeration, arithmetic, and spectrum-kind classification.
 
-The lattice of a ring is computed once and cached on the ring (weakly keyed),
-as the closure of all principal ideals under pairwise sums.  Classification
+The lattice of a ring is computed once and cached on the ring itself, as the
+closure of all principal ideals under pairwise sums.  Classification
 predicates are definitional loops over elements and lattice members; the test
 suite cross-checks the enumeration against a dumb subset-filter oracle.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from enum import Enum
-from functools import reduce
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -27,11 +26,28 @@ def generate_ideal(R, gens):
 
 @dataclass(frozen=True)
 class IdealLattice:
-    """All ideals of one ring, canonically ordered (o first, R last)."""
+    """All ideals of one ring, canonically ordered (o first, R last).
+
+    An ideal is addressed by its lattice index; ``masks[i]`` is the element
+    bitmask of ``ideals[i]`` and ``leq[i, j]`` is True iff ideals[i] <=
+    ideals[j].  The arithmetic of the lattice is kept as lazy tables of
+    lattice indices, each computed on first use:
+
+    - ``sum[i, j]`` is a_i + a_j, the join: the first ideal in canonical
+      order that contains both (every other upper bound contains the join,
+      so it is larger and comes later);
+    - ``meet[i, j]`` is a_i ∩ a_j: the last ideal in canonical order
+      contained in both;
+    - ``product[i, j]`` is a_i·a_j, the smallest ideal holding every x*y;
+    - ``radical[i]`` is √a_i.
+
+    The tables depend on the ring alone, not on a spectrum kind, so one copy
+    serves every check on every kind.
+    """
 
     ring: FiniteRing
     ideals: tuple
-    leq: np.ndarray  # leq[i, j] True iff ideals[i] <= ideals[j]
+    leq: np.ndarray
 
     def __len__(self):
         return len(self.ideals)
@@ -41,10 +57,61 @@ class IdealLattice:
         return self.ideals[:-1]
 
     def index(self, a):
-        return self._index[a]
+        """Lattice index of an ideal of this ring."""
+        return self.mask_index[a.mask]
 
     def __post_init__(self):
-        object.__setattr__(self, "_index", {a: i for i, a in enumerate(self.ideals)})
+        masks = tuple(a.mask for a in self.ideals)
+        object.__setattr__(self, "masks", masks)
+        object.__setattr__(self, "mask_index", {m: i for i, m in enumerate(masks)})
+
+    def smallest_containing(self, mask):
+        """Index of the ideal generated by the elements of an element mask."""
+        return next(i for i, m in enumerate(self.masks) if mask & ~m == 0)
+
+    @cached_property
+    def sum(self):
+        leq = self.leq
+        # (leq[i] & leq)[j, k]: a_k contains both a_i and a_j
+        return np.stack([(leq[i] & leq).argmax(axis=1) for i in range(len(leq))])
+
+    @cached_property
+    def meet(self):
+        below = self.leq.T
+        last = len(below) - 1
+        # (below[i] & below)[j, k]: a_k lies in both a_i and a_j
+        return np.stack([last - (below[i] & below)[:, ::-1].argmax(axis=1)
+                         for i in range(len(below))])
+
+    @cached_property
+    def product(self):
+        mul = self.ring.mul_rows
+        ideals = self.ideals
+        n = len(ideals)
+        out = np.empty((n, n), dtype=np.intp)
+        for i, a in enumerate(ideals):
+            for j in range(i, n):
+                prods = {mul[x][y] for x in a.members for y in ideals[j].members}
+                out[i, j] = out[j, i] = self.smallest_containing(_elements_mask(prods))
+        return out
+
+    @cached_property
+    def radical(self):
+        powers = []  # powers[x]: element mask of {x^k : k >= 1}
+        for x, row in enumerate(self.ring.mul_rows):
+            m, p = 0, x
+            while not m >> p & 1:
+                m |= 1 << p
+                p = row[p]
+            powers.append(m)
+        return np.array([
+            self.mask_index[_elements_mask(x for x, pw in enumerate(powers) if pw & am)]
+            for am in self.masks])
+
+    @cached_property
+    def witness_indices(self):
+        """Lattice indices in the canonical witness order (``witness_order``)."""
+        return tuple(self.index(a) for a in witness_order(self.ideals))
 
     def maximal_ideals(self):
         n = len(self.ideals)
@@ -56,17 +123,21 @@ class IdealLattice:
         return out
 
 
-_lattice_cache = weakref.WeakKeyDictionary()
+def _elements_mask(elements):
+    m = 0
+    for x in elements:
+        m |= 1 << x
+    return m
 
 
 def enumerate_ideals(R, caps=DEFAULT_CAPS):
-    """The complete ideal lattice of R.
+    """The complete ideal lattice of R, built once and kept on the ring.
 
     Closure of the principal ideals under pairwise sum; completeness rests on
     every ideal being the sum of the principal ideals of its elements, and is
     re-verified against an independent oracle in the tests.
     """
-    cached = _lattice_cache.get(R)
+    cached = R._derived.get("lattice")
     if cached is not None:
         if len(cached) > caps.max_ideals:
             raise CapExceeded(f"{len(cached)} ideals exceed cap {caps.max_ideals}")
@@ -91,7 +162,7 @@ def enumerate_ideals(R, caps=DEFAULT_CAPS):
         for j, b in enumerate(ideals):
             leq[i, j] = a <= b
     lattice = IdealLattice(R, ideals, leq)
-    _lattice_cache[R] = lattice
+    R._derived["lattice"] = lattice
     return lattice
 
 

@@ -14,7 +14,9 @@ sums, products, intersections, radicals, preimages) use ``_trusted_ideal``,
 which skips that check; each says why its result is an ideal.
 
 Rings compare by identity and are immutable after construction, so they are
-safe to share and to use as cache keys.
+safe to share.  Structures derived from a ring (its ideal lattice, spectra,
+topologies and canonical hom views) are cached in the ring's own ``_derived``
+dict rather than in module-level maps, so they are freed together with it.
 """
 
 from __future__ import annotations
@@ -58,6 +60,7 @@ class FiniteRing:
         self.names = tuple(names) if names is not None else tuple(str(i) for i in range(size))
         self.components = tuple(components) if components is not None else None
         self._validate()
+        self._derived = {}  # per-ring caches of the other modules, keyed by name
         # additive inverse table, derived after validation
         self.neg = np.array([int(np.where(add[a] == self.zero)[0][0]) for a in range(size)],
                             dtype=np.int64)

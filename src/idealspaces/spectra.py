@@ -3,13 +3,16 @@
 A spectrum is the set of ideals of one classification kind, never including
 the whole ring.  Point sets are bitmasks over the canonical point order, so
 hulls, kernels, and the closure fixpoints downstream are cheap integer work.
+Each spectrum tabulates the hull of every lattice ideal once, on first use,
+and every check on it reads that table.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from functools import cached_property, reduce
+
+import numpy as np
 
 from .caps import DEFAULT_CAPS
 from .errors import MixedRings
@@ -25,14 +28,29 @@ from .rings import RingHom, _trusted_ideal, unit_ideal
 
 
 class Spectrum:
-    """Ideals of one kind, in canonical order, with R excluded."""
+    """Ideals of one kind, in canonical order, with R excluded.
 
-    def __init__(self, ring, kind, points):
+    ``lattice_indices[j]`` is the lattice index of point j.  Two lazy
+    tables over the ring's lattice depend on the points alone, not on which
+    check asks, so each is built once per (ring, kind) and every check on
+    this spectrum reads it:
+
+    - ``hulls[i]`` is the point mask of h(a_i) for the i-th lattice ideal
+      a_i: bit j is set iff a_i ⊆ points[j], read off the lattice's
+      inclusion matrix.  Every ideal of R is in the lattice, so ``hull_mask``
+      becomes a lookup;
+    - ``x_radicals[i]`` is the lattice index of k(h(a_i)), the meet of the
+      points containing a_i (R when there are none).
+    """
+
+    def __init__(self, ring, kind, points, lattice=None):
         self.ring = ring
         self.kind = SpectrumKind(kind)
         self.points = tuple(points)
         self.index = {p: i for i, p in enumerate(self.points)}
         self.label = f"{self.kind.title}({ring.label})"
+        self.lattice = lattice if lattice is not None else enumerate_ideals(ring)
+        self.lattice_indices = tuple(self.lattice.index(p) for p in self.points)
 
     def __len__(self):
         return len(self.points)
@@ -47,18 +65,41 @@ class Spectrum:
     def contains_ideal(self, a):
         return a in self.index
 
+    @cached_property
+    def hulls(self):
+        inside = np.packbits(self.lattice.leq[:, list(self.lattice_indices)],
+                             axis=1, bitorder="little")
+        return tuple(int.from_bytes(row.tobytes(), "little") for row in inside)
 
-_spectrum_cache = weakref.WeakKeyDictionary()
+    @cached_property
+    def x_radicals(self):
+        meet = self.lattice.meet.tolist()
+        out = []
+        for h in self.hulls:
+            acc = len(self.lattice) - 1
+            for j, p in enumerate(self.lattice_indices):
+                if h >> j & 1:
+                    acc = meet[acc][p]
+            out.append(acc)
+        return tuple(out)
+
+    @cached_property
+    def point_positions(self):
+        """``point_positions[i]`` is the point index of lattice ideal i, or None."""
+        pos = [None] * len(self.lattice)
+        for j, i in enumerate(self.lattice_indices):
+            pos[i] = j
+        return tuple(pos)
 
 
 def make_spectrum(R, kind, caps=DEFAULT_CAPS):
     kind = SpectrumKind(kind)
-    per_ring = _spectrum_cache.setdefault(R, {})
+    per_ring = R._derived.setdefault("spectra", {})
     if kind in per_ring:
         return per_ring[kind]
     lat = enumerate_ideals(R, caps)
     points = [a for a in lat.ideals if a.proper and classify(a, kind, caps)]
-    spec = Spectrum(R, kind, points)
+    spec = Spectrum(R, kind, points, lat)
     per_ring[kind] = spec
     return spec
 
@@ -112,17 +153,14 @@ def empty_point_set(spec):
 
 def hull(spec, a):
     """Points of the spectrum containing the ideal a (R itself allowed)."""
-    if a.ring is not spec.ring:
-        raise MixedRings("ideal belongs to a different ring")
-    mask = 0
-    for i, p in enumerate(spec.points):
-        if a <= p:
-            mask |= 1 << i
-    return PointSet(spec, mask)
+    return PointSet(spec, hull_mask(spec, a))
 
 
 def hull_mask(spec, a):
-    return hull(spec, a).mask
+    """Point mask of h(a), read from the spectrum's hull table."""
+    if a.ring is not spec.ring:
+        raise MixedRings("ideal belongs to a different ring")
+    return spec.hulls[spec.lattice.index(a)]
 
 
 def kernel(S):

@@ -9,7 +9,6 @@ caps; exceeding a cap raises instead of approximating.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field
 
 from .caps import DEFAULT_CAPS
@@ -123,13 +122,10 @@ class TopologySpace:
                 f"|base|={len(f.base)}, |closed|={len(f.closed)})")
 
 
-_family_cache = weakref.WeakKeyDictionary()
-
-
 def generate_topology(spec, caps=DEFAULT_CAPS):
     if len(spec) > caps.max_points:
         raise CapExceeded(f"{len(spec)} points exceed cap {caps.max_points}")
-    per_ring = _family_cache.setdefault(spec.ring, {})
+    per_ring = spec.ring._derived.setdefault("families", {})
     key = tuple(p.members for p in spec.points)
     fam = per_ring.get(key)
     if fam is not None and len(fam.closed) > caps.max_closed_sets:

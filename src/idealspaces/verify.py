@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import json
 import random
-import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 from time import perf_counter
 
 import numpy as np
@@ -26,14 +26,9 @@ from .ideals import (
     ALL_KINDS,
     SpectrumKind,
     classify,
-    contraction,
     enumerate_ideals,
     generate_ideal,
-    ideal_intersect,
-    ideal_product,
-    ideal_sum,
     jacobson_radical,
-    radical,
     witness_order,
 )
 from .reports import (
@@ -51,21 +46,17 @@ from .rings import (
     make_quotient,
     multiplicative_closure,
     product_encode,
-    unit_ideal,
     zero_ideal,
 )
 from .spectra import (
     PointSet,
-    check_contraction_property,
     check_mip,
     has_partition_of_unity,
-    hull,
     hull_mask,
     image_of_kernel,
     kernel,
     kuratowski_union_axiom,
     make_spectrum,
-    x_radical,
 )
 from .topology import (
     closure_of,
@@ -96,44 +87,83 @@ def _ctx(ring, kind, caps):
     return enumerate_ideals(ring, caps), spec, T
 
 
-_sum_table_cache = weakref.WeakKeyDictionary()
+class HomView:
+    """One canonical hom f: R -> R' (a quotient or a localization) with the
+    tables the contraction checks T18-T22 read.
 
+    - ``contract[j]`` is the source lattice index of f⁻¹(b) for the j-th
+      ideal b of the target lattice;
+    - ``pushed[i]`` is the target lattice index of ⟨f(a)⟩ for the i-th ideal
+      a of the source lattice;
+    - ``kernel`` is ker f, an ideal of R, and ``surjective`` says whether f
+      is onto.
 
-def _sum_table(R, caps):
-    tab = _sum_table_cache.get(R)
-    if tab is None:
-        lat = enumerate_ideals(R, caps)
-        n = len(lat)
-        tab = [[0] * n for _ in range(n)]
-        for i, a in enumerate(lat.ideals):
-            for j, b in enumerate(lat.ideals):
-                tab[i][j] = lat.index(ideal_sum(a, b))
-        _sum_table_cache[R] = tab
-    return tab
+    These depend on f and the two lattices alone, not on a spectrum kind, so
+    they are built once per hom.  ``points(kind, caps)`` adds the kind: the
+    source point index of f⁻¹(b) for each point b of X(R'), or None when some
+    f⁻¹(b) is not a point of X(R), i.e. when the contraction property fails.
+    """
 
+    def __init__(self, hom, caps, mult_set=None):
+        self.hom = hom
+        self.caps = caps
+        self.mult_set = mult_set  # S for the localization R -> R_S
+        self.kernel = hom.kernel()
+        self.surjective = hom.is_surjective()
+        self._points = {}
 
-_quotient_cache = weakref.WeakKeyDictionary()
-
-
-def _quotient_homs(R, caps):
-    out = _quotient_cache.get(R)
-    if out is None:
-        lat = enumerate_ideals(R, caps)
+    @cached_property
+    def contract(self):
+        f = self.hom
+        src = enumerate_ideals(f.source, self.caps)
+        fibre = [0] * f.target.size  # fibre[y]: element mask of f⁻¹(y)
+        for x, y in enumerate(f.map):
+            fibre[y] |= 1 << x
         out = []
-        for a in lat.proper:
-            Q, f = make_quotient(R, a, caps=caps)
-            out.append((a, Q, f))
-        _quotient_cache[R] = out
-    return out
+        for b in enumerate_ideals(f.target, self.caps).ideals:
+            pre = 0
+            for y in b.members:
+                pre |= fibre[y]
+            out.append(src.mask_index[pre])
+        return tuple(out)
 
-
-_localization_cache = weakref.WeakKeyDictionary()
-
-
-def _localization_homs(R, caps):
-    out = _localization_cache.get(R)
-    if out is None:
+    @cached_property
+    def pushed(self):
+        f = self.hom
+        tgt = enumerate_ideals(f.target, self.caps)
         out = []
+        for a in enumerate_ideals(f.source, self.caps).ideals:
+            image = 0
+            for x in a.members:
+                image |= 1 << f.map[x]
+            out.append(tgt.smallest_containing(image))
+        return tuple(out)
+
+    def points(self, kind, caps):
+        if kind not in self._points:
+            pos = make_spectrum(self.hom.source, kind, caps).point_positions
+            target = make_spectrum(self.hom.target, kind, caps)
+            bits = tuple(pos[self.contract[j]] for j in target.lattice_indices)
+            self._points[kind] = None if None in bits else bits
+        return self._points[kind]
+
+
+def _quotient_views(R, caps):
+    """Views of R -> R/a for every proper ideal a, built once per ring."""
+    views = R._derived.get("quotient_views")
+    if views is None:
+        views = [HomView(make_quotient(R, a, caps=caps)[1], caps)
+                 for a in enumerate_ideals(R, caps).proper]
+        R._derived["quotient_views"] = views
+    return views
+
+
+def _localization_views(R, caps):
+    """Views of R -> R_S for every distinct closure S of one nonzero element
+    that avoids 0, built once per ring."""
+    views = R._derived.get("localization_views")
+    if views is None:
+        views = []
         seen = set()
         for x in R.elements:
             if x == R.zero:
@@ -142,32 +172,28 @@ def _localization_homs(R, caps):
             if R.zero in S.members or S.members in seen:
                 continue
             seen.add(S.members)
-            L, f = localize(R, S, caps=caps)
-            out.append((S, L, f))
-        _localization_cache[R] = out
-    return out
+            views.append(HomView(localize(R, S, caps=caps)[1], caps, S))
+        R._derived["localization_views"] = views
+    return views
 
 
-def _point_elem_masks(spec):
-    return [p.mask for p in spec.points]
+def _bit_matrix(masks, width):
+    """Bool matrix whose row r holds bits 0..width-1 of the int ``masks[r]``
+    (Python ints, so any width)."""
+    nbytes = max(1, (width + 7) // 8)
+    raw = np.frombuffer(b"".join(m.to_bytes(nbytes, "little") for m in masks),
+                        dtype=np.uint8).reshape(len(masks), nbytes)
+    return np.unpackbits(raw, axis=1, bitorder="little")[:, :width].astype(bool)
 
 
-def _hull_of_elem_mask(spec, emask):
-    m = 0
-    for i, p in enumerate(spec.points):
-        if emask & ~p.mask == 0:
-            m |= 1 << i
-    return m
-
-
-def _kernel_elem_mask(spec, smask, pmasks, allmask):
-    k = allmask
-    i = 0
-    while smask:
-        if smask & 1:
-            k &= pmasks[i]
-        smask >>= 1
-        i += 1
+def _kernel_indices(spec, subsets):
+    """Lattice index of k(S) for each row S of a point bit matrix, folded
+    through the meet table; R (the last index) for the empty set."""
+    meet = spec.lattice.meet
+    k = np.full(len(subsets), len(spec.lattice) - 1, dtype=np.intp)
+    for j, p in enumerate(spec.lattice_indices):
+        rows = subsets[:, j]
+        k[rows] = meet[k[rows], p]
     return k
 
 
@@ -198,51 +224,58 @@ def _vac(check, notes=""):
 def _run_t01(R, kind, caps):
     lat, spec, _T = _ctx(R, kind, caps)
     L = lat.ideals
-    hm = {a: hull_mask(spec, a) for a in L}
+    hulls = spec.hulls
     full = spec.full_mask
     notes = []
 
-    if hm[unit_ideal(R)] != 0:
+    if hulls[-1] != 0:
         return _fail("T01", {"part": "h(R)=∅"})
-    if hm[zero_ideal(R)] != full:
+    if hulls[0] != full:
         return _fail("T01", {"part": "h(o)=X"})
     if kernel(PointSet(spec, 0)).proper:
         return _fail("T01", {"part": "k(∅)=R"})
 
-    for a in L:
-        for b in L:
-            if a <= b and hm[b] & ~hm[a]:
-                return _fail("T01", {"part": "h order-reversing",
-                                     "a": w_ideal(a), "b": w_ideal(b)})
-            union = hm[a] | hm[b]
-            meet = hm[ideal_intersect(a, b)]
-            prod = hull_mask(spec, ideal_product(a, b))
-            if union & ~meet or meet & ~prod:
-                return _fail("T01", {"part": "h(a)∪h(b) ⊆ h(a∩b) ⊆ h(ab)",
-                                     "a": w_ideal(a), "b": w_ideal(b)})
-        if hm[radical(a)] & ~hm[a]:
-            return _fail("T01", {"part": "h(a) ⊇ h(√a)", "a": w_ideal(a)})
+    # laws over ideal pairs; the first failure in (a, b) order, each a's
+    # radical law after its pairs
+    nL, nX = len(L), len(spec)
+    H = _bit_matrix(hulls, nX)  # H[i, j]: a_i ⊆ point j
+    hsub = ~(H @ ~H.T)          # hsub[i, j]: h(a_i) ⊆ h(a_j)
+    idx = np.arange(nL)
+    meet = lat.meet
+    reversing = lat.leq & ~hsub.T
+    between = ~(hsub[idx[:, None], meet] & hsub[idx[None, :], meet]
+                & hsub[meet, lat.product])
+    radical_bad = ~hsub[lat.radical, idx]
+    pair_bad = reversing | between
+    row_bad = pair_bad.any(axis=1) | radical_bad
+    if row_bad.any():
+        i = int(row_bad.argmax())
+        if not pair_bad[i].any():
+            return _fail("T01", {"part": "h(a) ⊇ h(√a)", "a": w_ideal(L[i])})
+        j = int(pair_bad[i].argmax())
+        part = "h order-reversing" if reversing[i, j] else "h(a)∪h(b) ⊆ h(a∩b) ⊆ h(ab)"
+        return _fail("T01", {"part": part, "a": w_ideal(L[i]), "b": w_ideal(L[j])})
 
     # family identity over sublists of the lattice
-    sumidx = _sum_table(R, caps)
-    hulls = [hm[a] for a in L]
-    nL = len(L)
     if nL <= 16:
-        inter = [0] * (1 << nL)
-        sm = [0] * (1 << nL)
-        inter[0] = full
-        sm[0] = 0  # o is first in the canonical lattice order
-        for m in range(1, 1 << nL):
-            lb = m & -m
-            i = lb.bit_length() - 1
-            prev = m ^ lb
-            inter[m] = inter[prev] & hulls[i]
-            sm[m] = sumidx[sm[prev]][i]
-            if inter[m] != hulls[sm[m]]:
-                fam = [w_ideal(L[j]) for j in range(nL) if m >> j & 1]
-                return _fail("T01", {"part": "∩h(aᵢ)=h(Σaᵢ)", "family": fam})
+        # sublists by doubling: those with top member a_i extend those below
+        # it.  At most 15 points, so the hull masks fit in int32.
+        hull_arr = np.array(hulls, dtype=np.int32)
+        inter = np.empty(1 << nL, dtype=np.int32)
+        sm = np.empty(1 << nL, dtype=np.intp)
+        inter[0], sm[0] = full, 0  # o is first in the canonical lattice order
+        for i in range(nL):
+            half = 1 << i
+            inter[half:2 * half] = inter[:half] & hull_arr[i]
+            sm[half:2 * half] = lat.sum[sm[:half], i]
+        bad = np.flatnonzero(inter[1:] != hull_arr[sm[1:]])
+        if bad.size:
+            m = int(bad[0]) + 1
+            fam = [w_ideal(L[j]) for j in range(nL) if m >> j & 1]
+            return _fail("T01", {"part": "∩h(aᵢ)=h(Σaᵢ)", "family": fam})
         notes.append(f"sum identity exhaustive over 2^{nL} sublists")
     else:
+        sumidx = lat.sum.tolist()
         rng = random.Random(_SAMPLE_SEED)
         for _ in range(512):
             m = rng.randrange(1 << nL)
@@ -256,43 +289,40 @@ def _run_t01(R, kind, caps):
                 return _fail("T01", {"part": "∩h(aᵢ)=h(Σaᵢ)", "family": fam})
         notes.append("sum identity on 512 sampled sublists")
 
-    # Galois connection and the hk closure-operation laws
-    nX = len(spec)
-    pmasks = _point_elem_masks(spec)
-    allm = (1 << R.size) - 1
+    # Galois connection and the hk closure-operation laws, one row per
+    # subset S; the first failing S in order, Galois before hk
     exhaustive = nX <= 12
     subsets = list(range(1 << nX)) if exhaustive else _subset_samples(nX, 2048)
-    kmask = {}
-    for S in subsets:
-        kmask[S] = _kernel_elem_mask(spec, S, pmasks, allm)
-        for a in L:
-            if (S & ~hm[a] == 0) != (a.mask & ~kmask[S] == 0):
-                return _fail("T01", {"part": "Galois connection",
-                                     "S": [spec.points[i].name for i in range(nX) if S >> i & 1],
-                                     "a": w_ideal(a)})
-        hk = _hull_of_elem_mask(spec, kmask[S])
-        if S & ~hk:
-            return _fail("T01", {"part": "hk extensive", "S": S})
-        hk2 = _hull_of_elem_mask(spec, _kernel_elem_mask(spec, hk, pmasks, allm))
-        if hk2 != hk:
-            return _fail("T01", {"part": "hk idempotent", "S": S})
+    S = _bit_matrix(subsets, nX)
+    k = _kernel_indices(spec, S)
+    galois = ~(S @ ~H.T) != lat.leq[:, k].T  # (S ⊆ h(a)) vs (a ⊆ k(S))
+    extensive = (S & ~H[k]).any(axis=1)      # S ⊄ hk(S)
+    idempotent = (H[list(spec.x_radicals)] != H).any(axis=1)[k]  # hkhk(S) ≠ hk(S)
+    bad = galois.any(axis=1) | extensive | idempotent
+    if bad.any():
+        r = int(bad.argmax())
+        if galois[r].any():
+            return _fail("T01", {"part": "Galois connection",
+                                 "S": [spec.points[i].name for i in range(nX)
+                                       if subsets[r] >> i & 1],
+                                 "a": w_ideal(L[int(galois[r].argmax())])})
+        part = "hk extensive" if extensive[r] else "hk idempotent"
+        return _fail("T01", {"part": part, "S": subsets[r]})
     notes.append(("Galois exhaustive over all subsets" if exhaustive
                   else "Galois on 2048 sampled subsets"))
 
-    # k(∪ S) = ∩ k(S) and k order-reversing, over subset pairs
-    pair_subsets = subsets if nX <= 6 else _subset_samples(nX, 64)
-    for S in pair_subsets:
-        kS = kmask.get(S)
-        if kS is None:
-            kS = _kernel_elem_mask(spec, S, pmasks, allm)
-        for T2 in pair_subsets:
-            kT = kmask.get(T2)
-            if kT is None:
-                kT = _kernel_elem_mask(spec, T2, pmasks, allm)
-            if _kernel_elem_mask(spec, S | T2, pmasks, allm) != kS & kT:
-                return _fail("T01", {"part": "k(∪)=∩k", "S": S, "T": T2})
-            if S & ~T2 == 0 and kT & ~kS:
-                return _fail("T01", {"part": "k order-reversing", "S": S, "T": T2})
+    # k(∪ S) = ∩ k(S) and k order-reversing, over subset pairs in (S, T) order
+    pairs = subsets if nX <= 6 else _subset_samples(nX, 64)
+    P = _bit_matrix(pairs, nX)
+    kp = _kernel_indices(spec, P)
+    k_union = _kernel_indices(spec, (P[:, None, :] | P[None, :, :]).reshape(-1, nX))
+    union_bad = k_union.reshape(len(pairs), -1) != meet[kp[:, None], kp[None, :]]
+    reversing = ~(P @ ~P.T) & ~lat.leq[kp[None, :], kp[:, None]]  # S ⊆ T, k(T) ⊄ k(S)
+    bad = union_bad | reversing
+    if bad.any():
+        s, t = divmod(int(bad.argmax()), len(pairs))
+        part = "k(∪)=∩k" if union_bad[s, t] else "k order-reversing"
+        return _fail("T01", {"part": part, "S": pairs[s], "T": pairs[t]})
     return _hold("T01", notes="; ".join(notes))
 
 
@@ -302,9 +332,10 @@ def _run_t01(R, kind, caps):
 
 def _run_t02(R, kind, caps):
     lat, spec, _T = _ctx(R, kind, caps)
-    side_all = all(hull_mask(spec, a) == hull_mask(spec, radical(a)) for a in lat.ideals)
-    side_pts = all(hull_mask(spec, p) == hull_mask(spec, radical(p)) for p in spec.points)
-    side_rad = all(radical(p).members == p.members for p in spec.points)
+    hulls, rad = spec.hulls, lat.radical
+    side_all = all(hulls[i] == hulls[rad[i]] for i in range(len(lat)))
+    side_pts = all(hulls[i] == hulls[rad[i]] for i in spec.lattice_indices)
+    side_rad = all(rad[i] == i for i in spec.lattice_indices)
     if side_all == side_pts == side_rad:
         return _hold("T02", notes=f"all three sides {'true' if side_all else 'false'}")
     return _fail("T02", {"h(a)=h(√a) on Idl": side_all,
@@ -330,15 +361,11 @@ def _run_t03(R, kind, caps):
                      notes="equivalence broken")
     nX = len(spec)
     if nX <= 10:
-        pmasks = _point_elem_masks(spec)
-        allm = (1 << R.size) - 1
-        hk = np.empty(1 << nX, dtype=np.int64)
-        for S in range(1 << nX):
-            hk[S] = _hull_of_elem_mask(
-                spec, _kernel_elem_mask(spec, S, pmasks, allm))
         idx = np.arange(1 << nX, dtype=np.int64)
+        subsets = _bit_matrix(idx.tolist(), nX)
+        hk = np.array(spec.hulls, dtype=np.int64)[_kernel_indices(spec, subsets)]
         ors = idx[:, None] | idx[None, :]
-        exhaustive_ok = bool((hk[ors] == (hk[idx][:, None] | hk[idx][None, :])).all())
+        exhaustive_ok = bool((hk[ors] == (hk[:, None] | hk[None, :])).all())
         notes.append(f"exhaustive subset-pair check over 2^{nX} sets "
                      f"{'agrees' if exhaustive_ok == kur_ok else 'DISAGREES'}")
         if exhaustive_ok != kur_ok:
@@ -400,45 +427,45 @@ def _run_t05(R, kind, caps):
 
 def _run_t06(R, kind, caps):
     lat, spec, _T = _ctx(R, kind, caps)
-    L = lat.ideals
-    xr = {a: x_radical(spec, a) for a in L}
-    hm = {a: hull_mask(spec, a) for a in L}
+    L, masks, leq = lat.ideals, lat.masks, lat.leq
+    hulls, xr, rad = spec.hulls, spec.x_radicals, lat.radical
+    order = lat.witness_indices
     notes = []
 
-    for a in witness_order(L):
-        if a.mask & ~xr[a].mask:
-            return _fail("T06", {"part": "a ⊆ √[X]a", "a": w_ideal(a)})
-        if xr[a].mask & ~radical(a).mask:
+    for i in order:
+        if masks[i] & ~masks[xr[i]]:
+            return _fail("T06", {"part": "a ⊆ √[X]a", "a": w_ideal(L[i])})
+        if masks[xr[i]] & ~masks[rad[i]]:
             return _fail(
                 "T06",
-                {"part": "√[X]a ⊆ √a", "a": w_ideal(a),
-                 "x_radical": w_ideal(xr[a]), "radical": w_ideal(radical(a))},
+                {"part": "√[X]a ⊆ √a", "a": w_ideal(L[i]),
+                 "x_radical": w_ideal(L[xr[i]]), "radical": w_ideal(L[rad[i]])},
                 notes="h(a) is empty for a proper ideal, so √[X]a = R overshoots √a; "
                       "holds exactly when the spectrum has the partition-of-unity property")
-    for p in spec.points:
-        if xr[p].members != p.members:
-            return _fail("T06", {"part": "a ∈ X ⟹ √[X]a = a", "a": w_ideal(p)})
-    for a in L:
-        if hull_mask(spec, xr[a]) != hm[a]:
-            return _fail("T06", {"part": "h(√[X]a) = h(a)", "a": w_ideal(a)})
-    for a in L:
-        for b in L:
-            if (hm[a] & ~hm[b] == 0) != (xr[b].mask & ~xr[a].mask == 0):
+    for i in spec.lattice_indices:
+        if xr[i] != i:
+            return _fail("T06", {"part": "a ∈ X ⟹ √[X]a = a", "a": w_ideal(L[i])})
+    for i in range(len(L)):
+        if hulls[xr[i]] != hulls[i]:
+            return _fail("T06", {"part": "h(√[X]a) = h(a)", "a": w_ideal(L[i])})
+    for i in range(len(L)):
+        for j in range(len(L)):
+            if (hulls[i] & ~hulls[j] == 0) != leq[xr[j], xr[i]]:
                 return _fail("T06", {"part": "h(a)⊆h(b) ⟺ √[X]b⊆√[X]a",
-                                     "a": w_ideal(a), "b": w_ideal(b)})
+                                     "a": w_ideal(L[i]), "b": w_ideal(L[j])})
     if is_von_neumann_regular(R):
-        for a in witness_order(L):
-            for b in witness_order(L):
-                if (hm[a] & ~hm[b] == 0) != (b <= a):
+        for i in order:
+            for j in order:
+                if (hulls[i] & ~hulls[j] == 0) != leq[j, i]:
                     return _fail(
                         "T06",
                         {"part": "regular ring: h(a)⊆h(b) ⟺ b⊆a",
-                         "a": w_ideal(a), "b": w_ideal(b)},
+                         "a": w_ideal(L[i]), "b": w_ideal(L[j])},
                         notes="fails when some proper ideal has an empty hull")
         notes.append("regular-ring criterion checked")
     else:
         notes.append("ring not von Neumann regular; regular-ring part skipped")
-    if {hm[a] for a in L} != {hull_mask(spec, c) for c in image_of_kernel(spec)}:
+    if set(hulls) != {hull_mask(spec, c) for c in image_of_kernel(spec)}:
         return _fail("T06", {"part": "C_h = C_hk"})
     return _hold("T06", notes="; ".join(notes))
 
@@ -520,30 +547,29 @@ def _run_t10(R, kind, caps):
     sober = is_sober(T)
     irr = irreducible_closed_sets(T)
     irr_masks = {ps.mask for ps, _g in irr}
-    hm = {a: hull_mask(spec, a) for a in lat.ideals}
+    hm, pos = spec.hulls, spec.point_positions
 
     weak = True
     weak_witness = None
     for ps, _g in irr:
-        if not any(hm[a] == ps.mask and spec.contains_ideal(a) and
-                   (ps.mask >> spec.index[a] & 1) for a in lat.ideals
-                   if spec.contains_ideal(a)):
+        if not any(hm[i] == ps.mask and ps.mask >> j & 1
+                   for j, i in enumerate(spec.lattice_indices)):
             weak = False
             weak_witness = {"set": w_point_set(ps)}
             break
 
     strong = True
     xor_pairs = []
-    for a in witness_order(lat.ideals):
-        if hm[a] and hm[a] in irr_masks:
-            a_in = spec.contains_ideal(a) and bool(hm[a] >> spec.index[a] & 1)
-            if not a_in:
-                strong = False
-                for b in lat.ideals:
-                    if hm[b] == hm[a] and spec.contains_ideal(b) and \
-                            bool(hm[b] >> spec.index[b] & 1):
-                        xor_pairs.append((a, b))
-                        break
+    for i in lat.witness_indices:
+        if hm[i] and hm[i] in irr_masks:
+            a_in = pos[i] is not None and bool(hm[i] >> pos[i] & 1)
+            if a_in:
+                continue
+            strong = False
+            for b, j in enumerate(pos):
+                if j is not None and hm[b] == hm[i] and hm[b] >> j & 1:
+                    xor_pairs.append((lat.ideals[i], lat.ideals[b]))
+                    break
     notes = [f"sober {sober.status}; criterion (per closed set) {weak}; "
              f"criterion (all ideals) {strong}"]
     if xor_pairs:
@@ -596,20 +622,28 @@ def _run_t12(R, kind, caps):
 
 def _run_t13(R, kind, caps):
     lat, spec, T = _ctx(R, kind, caps)
-    base_set = set(T.base_masks)
-    sumidx = _sum_table(R, caps)
-    ker_idx = {m: lat.index(T.kernel_ideal_of(m)) for m in T.subbase_masks}
-    hulls = {i: hull_mask(spec, lat.ideals[i]) for i in range(len(lat))}
+    base = T.base_masks
+    base_set = set(base)
+    sums, hulls = lat.sum.tolist(), spec.hulls
+    ker = {m: lat.index(T.kernel_ideal_of(m)) for m in T.subbase_masks}
     decomp = T._family.base_decomp
-    for A in T.base_masks:
-        for B in T.base_masks:
+    # row[s][y] = ∪ h(a_s + b) over the subbase pieces h(b) of the y-th base set
+    row = {}
+    for s, a in ker.items():
+        row[s] = []
+        for B in base:
+            acc = 0
+            for t in decomp[B]:
+                acc |= hulls[sums[a][ker[t]]]
+            row[s].append(acc)
+    for A in base:
+        rows_a = [row[s] for s in decomp[A]]
+        for y, B in enumerate(base):
             if (A & B) not in base_set:
                 return _fail("T13", {"part": "base closed under ∩", "A": A, "B": B})
             rebuilt = 0
-            for sa in decomp[A]:
-                ia = ker_idx[sa]
-                for sb in decomp[B]:
-                    rebuilt |= hulls[sumidx[ia][ker_idx[sb]]]
+            for r in rows_a:
+                rebuilt |= r[y]
             if rebuilt != A & B:
                 return _fail("T13", {"part": "∪h(aᵢ) ∩ ∪h(bⱼ) = ∪h(aᵢ+bⱼ)",
                                      "A": A, "B": B})
@@ -733,18 +767,22 @@ def _run_t17(R, kind, caps):
 # contraction-map checks (T18-T22)
 
 
-def _all_canonical_homs(R, caps):
-    homs = [f for _a, _Q, f in _quotient_homs(R, caps)]
-    homs += [f for _S, _L, f in _localization_homs(R, caps)]
-    return homs
+def _gated_views(views, kind, caps):
+    """(view, source point index per target point) for the views whose hom
+    has the contraction property on this kind."""
+    for v in views:
+        bits = v.points(kind, caps)
+        if bits is not None:
+            yield v, bits
 
 
-def _gated(kind, f, caps):
-    """Contraction-property gate; returns (applicable, note)."""
-    rep = check_contraction_property(kind, f, caps)
-    if rep.fails:
-        return False, f"{f.label}: contraction property fails"
-    return True, ""
+def _pull_back(mask, bits):
+    """Mask of the positions j whose point bits[j] lies in ``mask``."""
+    out = 0
+    for j, b in enumerate(bits):
+        if mask >> b & 1:
+            out |= 1 << j
+    return out
 
 
 def _transport_is_homeo(T_big, big_bits, T_small):
@@ -763,49 +801,32 @@ def _transport_is_homeo(T_big, big_bits, T_small):
                 t |= 1 << big_bits[i]
         if t not in rel_family:
             return False, "image of a closed set is not closed in the subspace"
-    small_bit_of = {b: i for i, b in enumerate(big_bits)}
-    for c in T_big.closed_masks:
-        rel = c & M
-        back = 0
-        for b in small_bit_of:
-            if rel >> b & 1:
-                back |= 1 << small_bit_of[b]
-        if back not in set(T_small.closed_masks):
+    for rel in rel_family:
+        if not T_small.is_closed(_pull_back(rel, big_bits)):
             return False, "preimage of a closed set is not closed"
     return True, ""
 
 
 def _run_t18(R, kind, caps):
     lat, spec, T = _ctx(R, kind, caps)
+    views = _quotient_views(R, caps) + _localization_views(R, caps)
     checked = 0
-    for f in _all_canonical_homs(R, caps):
-        ok, note = _gated(kind, f, caps)
-        if not ok:
-            continue
-        other = make_spectrum(f.target, kind, caps)
+    for v, bits in _gated_views(views, kind, caps):
+        other = make_spectrum(v.hom.target, kind, caps)
         T_other = generate_topology(other, caps)
-        bits = {}
-        for b in other.points:
-            pre = contraction(f, b)
-            bits[b] = spec.index[pre]
+        image = sum(1 << i for i in set(bits))
+        seen = set()  # closed sets that meet the image alike pull back alike
         for C in T.closed_masks:
-            pre_mask = 0
-            for j, b in enumerate(other.points):
-                if C >> bits[b] & 1:
-                    pre_mask |= 1 << j
-            if not T_other.is_closed(pre_mask):
-                return _fail("T18", {"hom": f.label,
+            if C & image in seen:
+                continue
+            seen.add(C & image)
+            if not T_other.is_closed(_pull_back(C, bits)):
+                return _fail("T18", {"hom": v.hom.label,
                                      "closed_set": w_point_set(PointSet(spec, C))},
                              notes="preimage under the contraction map is not closed")
-        for a in lat.ideals:
-            pushed = generate_ideal(f.target, tuple({f(x) for x in a.members}))
-            expect = hull_mask(other, pushed)
-            got = 0
-            for j, b in enumerate(other.points):
-                if hull_mask(spec, a) >> bits[b] & 1:
-                    got |= 1 << j
-            if got != expect:
-                return _fail("T18", {"hom": f.label, "a": w_ideal(a),
+        for i, a in enumerate(lat.ideals):
+            if _pull_back(spec.hulls[i], bits) != other.hulls[v.pushed[i]]:
+                return _fail("T18", {"hom": v.hom.label, "a": w_ideal(a),
                                      "part": "(f*)⁻¹(h(a)) = h(⟨f(a)⟩)"})
         checked += 1
     if checked == 0:
@@ -815,45 +836,35 @@ def _run_t18(R, kind, caps):
 
 def _run_t19(R, kind, caps, quotients_only=False, check_id="T19"):
     lat, spec, T = _ctx(R, kind, caps)
-    homs = [f for _a, _Q, f in _quotient_homs(R, caps)]
+    views = _quotient_views(R, caps)
     if not quotients_only:
-        homs += [f for _S, _L, f in _localization_homs(R, caps)]
+        views = views + _localization_views(R, caps)
     checked = 0
-    for f in homs:
-        if not f.is_surjective():
-            continue
-        ok, _ = _gated(kind, f, caps)
-        if not ok:
-            continue
-        other = make_spectrum(f.target, kind, caps)
+    for v, bits in _gated_views([v for v in views if v.surjective], kind, caps):
+        other = make_spectrum(v.hom.target, kind, caps)
         T_other = generate_topology(other, caps)
-        ker = f.kernel()
-        M_bits = [i for i, p in enumerate(spec.points) if ker <= p]
-        big_bits = []
-        onto = set()
-        bad = None
-        for b in other.points:
-            pre = contraction(f, b)
-            i = spec.index.get(pre)
-            if i is None or not (ker <= pre):
-                bad = {"hom": f.label, "b": w_ideal(b), "preimage": w_ideal(pre)}
-                break
-            big_bits.append(i)
-            onto.add(i)
-        if bad:
-            return _fail(check_id, bad, notes="contraction leaves h(ker f)")
-        if onto != set(M_bits):
-            missing = [spec.points[i] for i in sorted(set(M_bits) - onto)]
+        ker = v.kernel
+        k = lat.index(ker)
+        for b, j in zip(other.points, other.lattice_indices):
+            pre = v.contract[j]
+            if not lat.leq[k, pre]:
+                return _fail(check_id, {"hom": v.hom.label, "b": w_ideal(b),
+                                        "preimage": w_ideal(lat.ideals[pre])},
+                             notes="contraction leaves h(ker f)")
+        M = spec.hulls[k]
+        onto = set(bits)
+        if onto != {i for i in range(len(spec)) if M >> i & 1}:
+            missing = [p for i, p in enumerate(spec.points) if M >> i & 1 and i not in onto]
             return _fail(
                 check_id,
-                {"hom": f.label, "kernel": w_ideal(ker),
-                 "h(ker)": w_point_set(PointSet(spec, sum(1 << i for i in M_bits))),
+                {"hom": v.hom.label, "kernel": w_ideal(ker),
+                 "h(ker)": w_point_set(PointSet(spec, M)),
                  "uncovered": w_ideals(missing)},
                 notes="the contraction map is not onto h(ker f); the spectrum of "
                       "the quotient does not reflect these points")
-        homeo, why = _transport_is_homeo(T, big_bits, T_other)
+        homeo, why = _transport_is_homeo(T, bits, T_other)
         if not homeo:
-            return _fail(check_id, {"hom": f.label, "why": why})
+            return _fail(check_id, {"hom": v.hom.label, "why": why})
         checked += 1
     if checked == 0:
         return _vac(check_id, notes="no surjective hom with the contraction property")
@@ -863,21 +874,18 @@ def _run_t19(R, kind, caps, quotients_only=False, check_id="T19"):
 def _run_t20(R, kind, caps):
     lat, spec, T = _ctx(R, kind, caps)
     k_full = kernel(PointSet(spec, spec.full_mask))
+    views = _quotient_views(R, caps) + _localization_views(R, caps)
     checked = 0
-    for f in _all_canonical_homs(R, caps):
-        ok, _ = _gated(kind, f, caps)
-        if not ok:
-            continue
-        other = make_spectrum(f.target, kind, caps)
+    for v, bits in _gated_views(views, kind, caps):
         image = 0
-        for b in other.points:
-            image |= 1 << spec.index[contraction(f, b)]
+        for i in bits:
+            image |= 1 << i
         dense = closure_of(T, image).mask == spec.full_mask
-        ker_contained = f.kernel() <= k_full
+        ker_contained = v.kernel <= k_full
         if dense != ker_contained:
-            return _fail("T20", {"hom": f.label, "dense": dense,
+            return _fail("T20", {"hom": v.hom.label, "dense": dense,
                                  "ker ⊆ ∩X": ker_contained,
-                                 "kernel": w_ideal(f.kernel())})
+                                 "kernel": w_ideal(v.kernel)})
         checked += 1
     if checked == 0:
         return _vac("T20", notes="no hom with the contraction property")
@@ -887,36 +895,29 @@ def _run_t20(R, kind, caps):
 def _run_t21(R, kind, caps):
     lat, spec, T = _ctx(R, kind, caps)
     checked = 0
-    for S, L, f in _localization_homs(R, caps):
-        ok, _ = _gated(kind, f, caps)
-        if not ok:
-            continue
-        other = make_spectrum(L, kind, caps)
+    for v, bits in _gated_views(_localization_views(R, caps), kind, caps):
+        S = v.mult_set
+        s_mask = sum(1 << x for x in S.members)
+        other = make_spectrum(v.hom.target, kind, caps)
         T_other = generate_topology(other, caps)
-        M_bits = [i for i, p in enumerate(spec.points) if not (p.members & S.members)]
-        big_bits = []
-        bad = None
-        for b in other.points:
-            pre = contraction(f, b)
-            i = spec.index.get(pre)
-            if i is None or (pre.members & S.members):
-                bad = {"hom": f.label, "b": w_ideal(b),
-                       "preimage": w_ideal(pre)}
-                break
-            big_bits.append(i)
-        if bad:
-            return _fail("T21", bad, notes="contraction meets S or leaves the spectrum")
-        if set(big_bits) != set(M_bits):
-            missing = [spec.points[i] for i in sorted(set(M_bits) - set(big_bits))]
+        for b, j in zip(other.points, other.lattice_indices):
+            pre = v.contract[j]
+            if lat.masks[pre] & s_mask:
+                return _fail("T21", {"hom": v.hom.label, "b": w_ideal(b),
+                                     "preimage": w_ideal(lat.ideals[pre])},
+                             notes="contraction meets S or leaves the spectrum")
+        avoiding = {i for i, p in enumerate(spec.points) if not p.mask & s_mask}
+        if set(bits) != avoiding:
+            missing = [spec.points[i] for i in sorted(avoiding - set(bits))]
             return _fail(
                 "T21",
-                {"hom": f.label, "S": sorted(R.name(x) for x in S.members),
+                {"hom": v.hom.label, "S": sorted(R.name(x) for x in S.members),
                  "uncovered": w_ideals(missing)},
                 notes="X(R_S) does not reflect every point of X(R) avoiding S "
                       "(only saturated ideals contract back)")
-        homeo, why = _transport_is_homeo(T, big_bits, T_other)
+        homeo, why = _transport_is_homeo(T, bits, T_other)
         if not homeo:
-            return _fail("T21", {"hom": f.label, "why": why})
+            return _fail("T21", {"hom": v.hom.label, "why": why})
         checked += 1
     if checked == 0:
         return _vac("T21", notes="no localization with the contraction property")

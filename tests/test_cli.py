@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -106,3 +107,23 @@ def test_byte_identical_across_hash_seeds():
     b = _run_subprocess(2)
     assert a.returncode == b.returncode == 0
     assert a.stdout == b.stdout and a.stdout
+
+
+# sha256 and length of the default report's stdout; see the test's docstring
+DEFAULT_REPORT_SHA256 = "3371f73ee18d7120d92ccae7b79bfe1dfbcfc3202849687d22c967740c738af9"
+DEFAULT_REPORT_BYTES = 855_307
+
+
+def test_default_report_matches_its_golden_digest():
+    """Every status, witness and note of the default suite, byte for byte.
+
+    A change that alters a verdict on purpose updates both constants and says
+    why in CHANGES.md.  Regenerate them from the repository root with
+
+        PYTHONPATH=src python -m idealspaces verify --format json > report.json
+        wc -c report.json; sha256sum report.json
+    """
+    out = subprocess.run([sys.executable, "-m", "idealspaces", "verify", "--format", "json"],
+                         capture_output=True, timeout=600)
+    assert len(out.stdout) == DEFAULT_REPORT_BYTES
+    assert hashlib.sha256(out.stdout).hexdigest() == DEFAULT_REPORT_SHA256

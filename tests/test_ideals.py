@@ -30,7 +30,7 @@ from idealspaces.spectra import (
     kernel,
     make_spectrum,
 )
-from idealspaces.verify import _localization_homs, _quotient_homs
+from idealspaces.verify import _localization_views, _quotient_views
 from oracles import brute_force_ideal_sets, brute_force_is_prime, brute_force_radical_members
 
 
@@ -209,9 +209,8 @@ class TestTrustedBuilders:
                 spec = make_spectrum(R, kind)
                 built += image_of_kernel(spec)
                 built += [kernel(PointSet(spec, m)) for m in range(1 << len(spec))]
-            homs = [f for _, _, f in _quotient_homs(R, DEFAULT_CAPS)]
-            homs += [f for _, _, f in _localization_homs(R, DEFAULT_CAPS)]
-            for f in homs:
+            views = _quotient_views(R, DEFAULT_CAPS) + _localization_views(R, DEFAULT_CAPS)
+            for f in (v.hom for v in views):
                 built.append(f.kernel())
                 built += [contraction(f, b) for b in enumerate_ideals(f.target).ideals]
             for a in built:

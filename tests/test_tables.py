@@ -1,0 +1,261 @@
+"""The shared tables that the check bodies read, each against an independent
+route: the lattice arithmetic tables, the spectrum hull table, the canonical
+hom views, and T01's vectorised laws against the scalar loops they replace.
+"""
+
+import gc
+import random
+import weakref
+
+from idealspaces import (
+    ALL_KINDS,
+    DEFAULT_CAPS,
+    Caps,
+    PointSet,
+    check_contraction_property,
+    contraction,
+    enumerate_ideals,
+    generate_ideal,
+    hull,
+    ideal_intersect,
+    ideal_product,
+    ideal_sum,
+    kernel,
+    make_spectrum,
+    parse_ring_expression,
+    radical,
+    run_check,
+    unit_ideal,
+    x_radical,
+    zero_ideal,
+)
+from idealspaces.reports import FAILS, HOLDS, VerdictReport, w_ideal
+from idealspaces.spectra import hull_mask
+from idealspaces.verify import _localization_views, _quotient_views, _subset_samples
+from oracles import brute_force_radical_members
+
+SAMPLE_SEED = 0x1DEA15
+
+
+def _instances(rings):
+    for R in rings:
+        for kind in ALL_KINDS:
+            spec = make_spectrum(R, kind)
+            if spec.points:
+                yield R, kind, spec
+
+
+class TestLatticeTables:
+    def test_arithmetic_tables_match_the_ideal_builders(self, suite_rings):
+        for R in suite_rings:
+            lat = enumerate_ideals(R)
+            L = lat.ideals
+            for i, a in enumerate(L):
+                for j, b in enumerate(L):
+                    assert L[lat.sum[i, j]].members == ideal_sum(a, b).members
+                    assert L[lat.meet[i, j]].members == ideal_intersect(a, b).members
+                    assert L[lat.product[i, j]].members == ideal_product(a, b).members, \
+                        (R.label, a, b)
+
+    def test_radical_table_matches_the_oracle(self, suite_rings):
+        for R in suite_rings:
+            lat = enumerate_ideals(R)
+            for i, a in enumerate(lat.ideals):
+                got = lat.ideals[lat.radical[i]].members
+                assert got == brute_force_radical_members(R, a.members), (R.label, a)
+                assert got == radical(a).members
+
+    def test_witness_indices_follow_witness_order(self, suite_rings):
+        for R in suite_rings:
+            lat = enumerate_ideals(R)
+            order = [lat.ideals[i] for i in lat.witness_indices]
+            assert [len(a) for a in order] == sorted((len(a) for a in order), reverse=True)
+            assert sorted(lat.witness_indices) == list(range(len(lat)))
+
+
+class TestHullTable:
+    def test_hull_table_matches_the_per_point_loop(self, suite_rings):
+        for R, kind, spec in _instances(suite_rings):
+            for i, a in enumerate(enumerate_ideals(R).ideals):
+                expect = 0
+                for j, p in enumerate(spec.points):
+                    if a <= p:
+                        expect |= 1 << j
+                assert spec.hulls[i] == expect, (R.label, kind, a)
+                assert hull_mask(spec, a) == expect
+                assert hull(spec, a).mask == expect
+
+    def test_x_radical_table_matches_the_kernel_of_the_hull(self, suite_rings):
+        for R, kind, spec in _instances(suite_rings):
+            L = enumerate_ideals(R).ideals
+            for i, a in enumerate(L):
+                assert L[spec.x_radicals[i]].members == x_radical(spec, a).members
+
+
+class TestHomViews:
+    def test_views_match_contraction_and_the_property_check(self, suite_rings):
+        for R in suite_rings:
+            views = _quotient_views(R, DEFAULT_CAPS) + _localization_views(R, DEFAULT_CAPS)
+            src = enumerate_ideals(R)
+            for v in views:
+                f = v.hom
+                tgt = enumerate_ideals(f.target)
+                for j, b in enumerate(tgt.ideals):
+                    assert src.ideals[v.contract[j]].members == contraction(f, b).members
+                for i, a in enumerate(src.ideals):
+                    pushed = generate_ideal(f.target, {f(x) for x in a.members})
+                    assert tgt.ideals[v.pushed[i]].members == pushed.members
+                assert v.kernel.members == f.kernel().members
+                assert v.surjective == f.is_surjective()
+                for kind in ALL_KINDS:
+                    bits = v.points(kind, DEFAULT_CAPS)
+                    fails = check_contraction_property(kind, f).fails
+                    assert (bits is None) == fails, (f.label, kind)
+                    if bits is not None:
+                        spec = make_spectrum(R, kind)
+                        other = make_spectrum(f.target, kind)
+                        assert list(bits) == [spec.index[contraction(f, b)]
+                                              for b in other.points]
+
+
+# ---------------------------------------------------------------------------
+# T01 against the scalar loops
+
+
+def _scalar_t01(R, kind):
+    """T01 as element-by-element loops: hulls through ``hull_mask``, the pair
+    laws through the ideal builders, kernels as element-mask meets."""
+    spec = make_spectrum(R, kind)
+    L = enumerate_ideals(R).ideals
+    hm = {a: hull_mask(spec, a) for a in L}
+    full = spec.full_mask
+    notes = []
+    if hm[unit_ideal(R)] != 0:
+        return VerdictReport("T01", FAILS, {"part": "h(R)=∅"})
+    if hm[zero_ideal(R)] != full:
+        return VerdictReport("T01", FAILS, {"part": "h(o)=X"})
+    if kernel(PointSet(spec, 0)).proper:
+        return VerdictReport("T01", FAILS, {"part": "k(∅)=R"})
+    for a in L:
+        for b in L:
+            if a <= b and hm[b] & ~hm[a]:
+                return VerdictReport("T01", FAILS, {"part": "h order-reversing",
+                                                    "a": w_ideal(a), "b": w_ideal(b)})
+            meet = hm[ideal_intersect(a, b)]
+            if (hm[a] | hm[b]) & ~meet or meet & ~hm[ideal_product(a, b)]:
+                return VerdictReport("T01", FAILS, {"part": "h(a)∪h(b) ⊆ h(a∩b) ⊆ h(ab)",
+                                                    "a": w_ideal(a), "b": w_ideal(b)})
+        if hm[radical(a)] & ~hm[a]:
+            return VerdictReport("T01", FAILS, {"part": "h(a) ⊇ h(√a)", "a": w_ideal(a)})
+
+    index = {a: i for i, a in enumerate(L)}
+    sums = [[index[ideal_sum(a, b)] for b in L] for a in L]
+    hulls = [hm[a] for a in L]
+    nL = len(L)
+
+    if nL <= 16:
+        inter, sm = [full] * (1 << nL), [0] * (1 << nL)
+        for m in range(1, 1 << nL):
+            low = m & -m
+            i, prev = low.bit_length() - 1, m ^ low
+            inter[m], sm[m] = inter[prev] & hulls[i], sums[sm[prev]][i]
+        bad = [m for m in range(1, 1 << nL) if inter[m] != hulls[sm[m]]]
+        notes.append(f"sum identity exhaustive over 2^{nL} sublists")
+    else:
+        rng = random.Random(SAMPLE_SEED)
+        bad = []
+        for _ in range(512):
+            m = rng.randrange(1 << nL)
+            acc, s = full, 0
+            for j in range(nL):
+                if m >> j & 1:
+                    acc &= hulls[j]
+                    s = sums[s][j]
+            if acc != hulls[s]:
+                bad.append(m)
+        notes.append("sum identity on 512 sampled sublists")
+    if bad:
+        fam = [w_ideal(L[j]) for j in range(nL) if bad[0] >> j & 1]
+        return VerdictReport("T01", FAILS, {"part": "∩h(aᵢ)=h(Σaᵢ)", "family": fam})
+
+    pmasks = [p.mask for p in spec.points]
+    nX = len(pmasks)
+
+    def k(S):
+        acc = (1 << R.size) - 1
+        for i in range(nX):
+            if S >> i & 1:
+                acc &= pmasks[i]
+        return acc
+
+    def h(emask):
+        return sum(1 << i for i in range(nX) if emask & ~pmasks[i] == 0)
+
+    exhaustive = nX <= 12
+    subsets = list(range(1 << nX)) if exhaustive else _subset_samples(nX, 2048)
+    for S in subsets:
+        kS = k(S)
+        for a in L:
+            if (S & ~hm[a] == 0) != (a.mask & ~kS == 0):
+                return VerdictReport("T01", FAILS, {
+                    "part": "Galois connection",
+                    "S": [spec.points[i].name for i in range(nX) if S >> i & 1],
+                    "a": w_ideal(a)})
+        hk = h(kS)
+        if S & ~hk:
+            return VerdictReport("T01", FAILS, {"part": "hk extensive", "S": S})
+        if h(k(hk)) != hk:
+            return VerdictReport("T01", FAILS, {"part": "hk idempotent", "S": S})
+    notes.append("Galois exhaustive over all subsets" if exhaustive
+                 else "Galois on 2048 sampled subsets")
+    pairs = subsets if nX <= 6 else _subset_samples(nX, 64)
+    for S in pairs:
+        for T in pairs:
+            if k(S | T) != k(S) & k(T):
+                return VerdictReport("T01", FAILS, {"part": "k(∪)=∩k", "S": S, "T": T})
+            if S & ~T == 0 and k(T) & ~k(S):
+                return VerdictReport("T01", FAILS,
+                                     {"part": "k order-reversing", "S": S, "T": T})
+    return VerdictReport("T01", HOLDS, notes="; ".join(notes))
+
+
+class TestT01Vectorised:
+    def test_matches_the_scalar_loops_on_the_suite(self, suite_rings):
+        for R, kind, _spec in _instances(suite_rings):
+            assert run_check("T01", R, kind) == _scalar_t01(R, kind), (R.label, kind)
+
+    def test_forced_failures_give_the_scalar_witness(self, monkeypatch):
+        # flip each hull-table bit in turn, on fresh rings so no patched table
+        # outlives the test; both routes read the same patched table
+        failures = 0
+        for expr, kind in (("Z12", "prp"), ("Z2xZ2xZ2", "min"), ("Z8", "spc")):
+            R = parse_ring_expression(expr)
+            spec = make_spectrum(R, kind)
+            true_hulls = spec.hulls
+            spec.x_radicals  # cached from the true table before patching
+            for i in range(len(true_hulls)):
+                for j in range(len(spec)):
+                    patched = list(true_hulls)
+                    patched[i] ^= 1 << j
+                    with monkeypatch.context() as mp:
+                        mp.setitem(spec.__dict__, "hulls", tuple(patched))
+                        got = run_check("T01", R, kind)
+                        want = _scalar_t01(R, kind)
+                    assert got == want, (expr, kind, i, j)
+                    failures += got.fails
+        assert failures > 0
+
+    def test_raised_caps_on_a_ring_wider_than_a_machine_word(self):
+        caps = Caps(max_ring_size=72, max_hom_product=5184)
+        R = parse_ring_expression("Z72", caps)
+        assert run_check("T01", R, "prp", caps).holds
+
+
+def test_rings_are_freed_with_their_caches():
+    R = parse_ring_expression("Z6")
+    assert run_check("T01", R, "prp").holds
+    assert run_check("T18", R, "prp").holds
+    ref = weakref.ref(R)
+    del R
+    gc.collect()
+    assert ref() is None
