@@ -14,9 +14,10 @@ sums, products, intersections, radicals, preimages) use ``_trusted_ideal``,
 which skips that check; each says why its result is an ideal.
 
 Rings compare by identity and are immutable after construction, so they are
-safe to share.  Structures derived from a ring (its ideal lattice, spectra,
-topologies and canonical hom views) are cached in the ring's own ``_derived``
-dict rather than in module-level maps, so they are freed together with it.
+safe to share.  Structures derived from a ring (its ideal lattice, spectra
+with their topologies, and canonical hom views) are cached in the ring's own
+``_derived`` dict rather than in module-level maps, so they are freed
+together with it.
 """
 
 from __future__ import annotations

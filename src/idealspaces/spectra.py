@@ -2,7 +2,8 @@
 
 A spectrum is the set of ideals of one classification kind, never including
 the whole ring.  Point sets are bitmasks over the canonical point order, so
-hulls, kernels, and the closure fixpoints downstream are cheap integer work.
+hulls, kernels, and the closures of the topology downstream are cheap integer
+work.
 Each spectrum tabulates the hull of every lattice ideal once, on first use,
 and every check on it reads that table.
 """
@@ -41,6 +42,9 @@ class Spectrum:
       becomes a lookup;
     - ``x_radicals[i]`` is the lattice index of k(h(a_i)), the meet of the
       points containing a_i (R when there are none).
+
+    ``topology`` holds the spectrum's ``TopologySpace`` once
+    ``generate_topology`` has built it.
     """
 
     def __init__(self, ring, kind, points, lattice=None):
@@ -51,6 +55,7 @@ class Spectrum:
         self.label = f"{self.kind.title}({ring.label})"
         self.lattice = lattice if lattice is not None else enumerate_ideals(ring)
         self.lattice_indices = tuple(self.lattice.index(p) for p in self.points)
+        self.topology = None
 
     def __len__(self):
         return len(self.points)

@@ -1,15 +1,16 @@
 """The closed-subbase topology on a spectrum and its point-set properties.
 
-The distinct hulls {h(a) : a in Idl(R)} form a closed subbase; finite unions
-give the closed base, and intersections of base sets give the full closed
-family.  Closed sets are bitmasks over spectrum points.  Family generation is
-a two-stage fixpoint (union closure, then intersection closure) with hard
-caps; exceeding a cap raises instead of approximating.
+The distinct hulls {h(a) : a in Idl(R)} form a closed subbase.  Every hull is
+an up-set of the points under inclusion, and the hull of a point p is ↑p, so
+on a finite spectrum the closed sets are exactly the up-sets (the Alexandroff
+topology of the inclusion order).  ``TopologySpace.above[j]`` is the closure
+of point j, one row of the spectrum's hull table; closures, irreducible
+closed sets and separation verdicts read it directly, and the closed family
+is enumerated as the unions of its rows.  Closed sets are bitmasks over
+spectrum points, and exceeding a cap raises instead of approximating.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 from .caps import DEFAULT_CAPS
 from .errors import CapExceeded, HypothesisViolated, MixedRings, NoPartitionFound
@@ -18,60 +19,31 @@ from .reports import FAILS, HOLDS, VerdictReport, w_ideal, w_point_set
 from .spectra import PointSet, hull_mask
 
 
-@dataclass
-class _Family:
-    """Shared closed-set data for one point set (masks only)."""
-
-    full: int
-    subbase: tuple            # sorted distinct hull masks
-    kernel_ideal: dict        # subbase mask -> canonical (largest) ideal with that hull
-    base: tuple               # union closure of the subbase
-    base_decomp: dict         # base mask -> tuple of subbase masks whose union it is
-    closed: tuple             # intersection closure of the base
-    closed_set: frozenset
-    _irreducibles: list | None = field(default=None, repr=False)
-    _singleton_closures: dict | None = field(default=None, repr=False)
-
-
-def _union_closure(seeds, cap):
-    out = set(seeds)
-    decomp = {m: (m,) for m in out}
-    frontier = list(out)
-    while frontier:
-        x = frontier.pop()
-        for y in list(out):
-            u = x | y
-            if u not in out:
-                if len(out) >= cap:
-                    raise CapExceeded(f"closed base exceeds cap {cap}")
-                out.add(u)
-                decomp[u] = tuple(sorted(set(decomp[x]) | set(decomp[y])))
-                frontier.append(u)
-    return out, decomp
-
-
-def _intersection_closure(seeds, cap):
-    out = set(seeds)
-    frontier = list(out)
-    while frontier:
-        x = frontier.pop()
-        for y in list(out):
-            u = x & y
-            if u not in out:
-                if len(out) >= cap:
-                    raise CapExceeded(f"closed family exceeds cap {cap}")
-                out.add(u)
-                frontier.append(u)
-    return out
-
-
 class TopologySpace:
-    """A spectrum with its subbase, base, and full closed family."""
+    """A spectrum with its subbase and closed family, read off the point order.
 
-    def __init__(self, spectrum, family, caps):
+    ``above[j]`` is the mask of the points containing point j, which is both
+    h(points[j]) and the closure of {points[j]}.  The closed family is every
+    union of ``above`` rows (the up-sets), enumerated once; it raises
+    CapExceeded as soon as it counts more than ``max_closed`` sets.  Every
+    up-set is a union of hulls, so the closed base is the closed family.
+    """
+
+    def __init__(self, spectrum, max_closed):
         self.spectrum = spectrum
-        self._family = family
-        self.caps = caps
+        self.above = tuple(spectrum.hulls[i] for i in spectrum.lattice_indices)
+        closed = {0}
+        for row in self.above:
+            for c in list(closed):
+                if c | row not in closed:
+                    closed.add(c | row)
+                    if len(closed) > max_closed:
+                        raise CapExceeded(f"closed base exceeds cap {max_closed}")
+        self.closed_masks = tuple(sorted(closed))
+        self._closed_set = frozenset(closed)
+        # the lattice is in ascending order, so the largest ideal per hull wins
+        self._kernel_ideal = dict(zip(spectrum.hulls, spectrum.lattice.ideals))
+        self.subbase_masks = tuple(sorted(self._kernel_ideal))
 
     @property
     def ring(self):
@@ -79,96 +51,61 @@ class TopologySpace:
 
     @property
     def full_mask(self):
-        return self._family.full
-
-    @property
-    def subbase(self):
-        return tuple(PointSet(self.spectrum, m) for m in self._family.subbase)
-
-    @property
-    def base(self):
-        return tuple(PointSet(self.spectrum, m) for m in self._family.base)
-
-    @property
-    def closed_family(self):
-        return tuple(PointSet(self.spectrum, m) for m in self._family.closed)
-
-    @property
-    def subbase_masks(self):
-        return self._family.subbase
+        return self.spectrum.full_mask
 
     @property
     def base_masks(self):
-        return self._family.base
+        return self.closed_masks
 
     @property
-    def closed_masks(self):
-        return self._family.closed
+    def subbase(self):
+        return tuple(PointSet(self.spectrum, m) for m in self.subbase_masks)
+
+    @property
+    def base(self):
+        return tuple(PointSet(self.spectrum, m) for m in self.base_masks)
+
+    @property
+    def closed_family(self):
+        return tuple(PointSet(self.spectrum, m) for m in self.closed_masks)
 
     def is_closed(self, mask):
-        return mask in self._family.closed_set
+        return mask in self._closed_set
 
     def kernel_ideal_of(self, mask):
-        """Canonical ideal whose hull is the given subbase mask."""
-        return self._family.kernel_ideal[mask]
+        """Canonical (largest) ideal whose hull is the given subbase mask."""
+        return self._kernel_ideal[mask]
 
     @property
     def is_discrete(self):
-        return len(self._family.closed) == 1 << len(self.spectrum)
+        return len(self.closed_masks) == 1 << len(self.spectrum)
 
     def __repr__(self):
-        f = self._family
-        return (f"TopologySpace({self.spectrum.label}: |subbase|={len(f.subbase)}, "
-                f"|base|={len(f.base)}, |closed|={len(f.closed)})")
+        return (f"TopologySpace({self.spectrum.label}: |subbase|={len(self.subbase_masks)}, "
+                f"|base|={len(self.base_masks)}, |closed|={len(self.closed_masks)})")
 
 
 def generate_topology(spec, caps=DEFAULT_CAPS):
+    """The topology of a spectrum, built on first use and kept on it."""
     if len(spec) > caps.max_points:
         raise CapExceeded(f"{len(spec)} points exceed cap {caps.max_points}")
-    per_ring = spec.ring._derived.setdefault("families", {})
-    key = tuple(p.members for p in spec.points)
-    fam = per_ring.get(key)
-    if fam is not None and len(fam.closed) > caps.max_closed_sets:
+    T = spec.topology
+    if T is None:
+        T = spec.topology = TopologySpace(spec, caps.max_closed_sets)
+    elif len(T.closed_masks) > caps.max_closed_sets:
         raise CapExceeded(
-            f"closed family of {len(fam.closed)} sets exceeds cap {caps.max_closed_sets}")
-    if fam is None:
-        lat = enumerate_ideals(spec.ring, caps)
-        kernel_ideal = {}
-        for a in lat.ideals:  # ascending, so the largest ideal per hull wins
-            kernel_ideal[hull_mask(spec, a)] = a
-        subbase = tuple(sorted(kernel_ideal))
-        base_set, decomp = _union_closure(subbase, caps.max_closed_sets)
-        closed_set = _intersection_closure(base_set | {spec.full_mask},
-                                           caps.max_closed_sets)
-        fam = _Family(
-            full=spec.full_mask,
-            subbase=subbase,
-            kernel_ideal=kernel_ideal,
-            base=tuple(sorted(base_set)),
-            base_decomp=decomp,
-            closed=tuple(sorted(closed_set)),
-            closed_set=frozenset(closed_set),
-        )
-        per_ring[key] = fam
-    return TopologySpace(spec, fam, caps)
+            f"closed family of {len(T.closed_masks)} sets exceeds cap {caps.max_closed_sets}")
+    return T
 
 
 def closure_of(T, S):
-    """Smallest closed set containing S (the family is intersection-closed)."""
+    """Smallest closed set containing S: the union of its points' closures."""
     mask = S.mask if isinstance(S, PointSet) else int(S)
-    acc = T.full_mask
-    for c in T.closed_masks:
-        if mask & ~c == 0:
-            acc &= c
+    acc = 0
+    for j, row in enumerate(T.above):
+        if mask >> j & 1:
+            acc |= row
     return PointSet(T.spectrum, acc)
-
-
-def _singleton_closures(T):
-    fam = T._family
-    if fam._singleton_closures is None:
-        fam._singleton_closures = {
-            i: closure_of(T, 1 << i).mask for i in range(len(T.spectrum))}
-    return fam._singleton_closures
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +114,7 @@ def _singleton_closures(T):
 
 def is_t0(T):
     """Distinct points must have distinct closures."""
-    cls = _singleton_closures(T)
+    cls = T.above
     n = len(T.spectrum)
     for i in range(n):
         for j in range(i + 1, n):
@@ -191,7 +128,7 @@ def is_t0(T):
 
 def is_t1(T):
     """Every singleton must be closed."""
-    cls = _singleton_closures(T)
+    cls = T.above
     for i in witness_point_indices(T):
         if cls[i] != 1 << i:
             p = T.spectrum.points[i]
@@ -212,37 +149,15 @@ def witness_point_indices(T):
 def irreducible_closed_sets(T):
     """All nonempty irreducible closed sets with their generic points.
 
-    A closed set is irreducible when it is not the union of two strictly
-    smaller closed sets; the generic-point shortcut (closure of a point is
-    always irreducible) is tried before the pairwise test.
+    A finite closed set is the union of its points' closures, so it is
+    irreducible exactly when it is the closure of one of its points; its
+    generic points are the points whose closure it is.
     """
-    fam = T._family
-    if fam._irreducibles is not None:
-        return [(PointSet(T.spectrum, m), gens) for m, gens in fam._irreducibles]
-    cls = _singleton_closures(T)
-    point_closures = set(cls.values())
-    out = []
-    for c in T.closed_masks:
-        if c == 0:
-            continue
-        if c in point_closures:
-            irreducible = True
-        else:
-            # c = a u b with closed a, b both strictly smaller iff some proper
-            # closed subset a leaves a remainder whose closure is still proper
-            irreducible = True
-            for a in T.closed_masks:
-                if a & ~c == 0 and a != c and a != 0:
-                    if closure_of(T, c & ~a).mask != c:
-                        irreducible = False
-                        break
-        if irreducible:
-            gens = tuple(i for i in range(len(T.spectrum))
-                         if c >> i & 1 and cls[i] == c)
-            out.append((c, gens))
-    out.sort(key=lambda t: (bin(t[0]).count("1"), t[0]))
-    fam._irreducibles = out
-    return [(PointSet(T.spectrum, m), gens) for m, gens in out]
+    gens = {}
+    for j, row in enumerate(T.above):
+        gens.setdefault(row, []).append(j)
+    return [(PointSet(T.spectrum, m), tuple(gens[m]))
+            for m in sorted(gens, key=lambda m: (bin(m).count("1"), m))]
 
 
 def is_sober(T):

@@ -15,7 +15,8 @@ import json
 import random
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import or_
 from time import perf_counter
 
 import numpy as np
@@ -591,7 +592,11 @@ def _run_t11(R, kind, caps):
     irr_masks = {ps.mask for ps, _g in irreducible_closed_sets(T)}
     for p in witness_order(spec.points):
         hma = hull_mask(spec, p)
-        cl = closure_of(T, 1 << spec.index[p]).mask
+        i = spec.index[p]
+        cl = spec.full_mask  # the meet of the closed sets containing p
+        for c in T.closed_masks:
+            if c >> i & 1:
+                cl &= c
         if cl != hma:
             return _fail("T11", {"point": w_ideal(p),
                                  "closure": w_point_set(PointSet(spec, cl)),
@@ -624,27 +629,24 @@ def _run_t13(R, kind, caps):
     lat, spec, T = _ctx(R, kind, caps)
     base = T.base_masks
     base_set = set(base)
-    sums, hulls = lat.sum.tolist(), spec.hulls
-    ker = {m: lat.index(T.kernel_ideal_of(m)) for m in T.subbase_masks}
-    decomp = T._family.base_decomp
-    # row[s][y] = ∪ h(a_s + b) over the subbase pieces h(b) of the y-th base set
-    row = {}
-    for s, a in ker.items():
-        row[s] = []
-        for B in base:
-            acc = 0
-            for t in decomp[B]:
-                acc |= hulls[sums[a][ker[t]]]
-            row[s].append(acc)
-    for A in base:
-        rows_a = [row[s] for s in decomp[A]]
-        for y, B in enumerate(base):
+    sums, hulls, pts = lat.sum.tolist(), spec.hulls, spec.lattice_indices
+    n = len(spec)
+    below = [sum(1 << i for i in range(n) if T.above[i] >> j & 1) for j in range(n)]
+    # a base set is the union of h(p) over its minimal points p
+    decomp = [[j for j in range(n) if B & below[j] == 1 << j] for B in base]
+    # row[j][y] = ∪ h(p_j + p_k) over the minimal points p_k of the y-th base set
+    row = []
+    for a in pts:
+        h_sum = [hulls[sums[a][b]] for b in pts]
+        row.append([reduce(or_, [h_sum[k] for k in ks], 0) for ks in decomp])
+    for A, ks in zip(base, decomp):
+        rebuilt = row[ks[0]] if ks else [0] * len(base)
+        for j in ks[1:]:
+            rebuilt = [x | y for x, y in zip(rebuilt, row[j])]
+        for B, got in zip(base, rebuilt):
             if (A & B) not in base_set:
                 return _fail("T13", {"part": "base closed under ∩", "A": A, "B": B})
-            rebuilt = 0
-            for r in rows_a:
-                rebuilt |= r[y]
-            if rebuilt != A & B:
+            if got != A & B:
                 return _fail("T13", {"part": "∪h(aᵢ) ∩ ∪h(bⱼ) = ∪h(aᵢ+bⱼ)",
                                      "A": A, "B": B})
     disconnected = not is_connected(T).holds
@@ -787,23 +789,22 @@ def _pull_back(mask, bits):
 
 def _transport_is_homeo(T_big, big_bits, T_small):
     """Is point i of T_small -> big_bits[i] a homeomorphism onto its image
-    with the subspace topology from T_big?"""
-    M = 0
-    for b in big_bits:
-        M |= 1 << b
+    with the subspace topology from T_big?
+
+    Both topologies are the up-sets of their inclusion orders, so this asks
+    for an injective map with i ⊆ j ⟺ big_bits[i] ⊆ big_bits[j].
+    """
     if len(set(big_bits)) != len(big_bits):
         return False, "map not injective"
-    rel_family = {c & M for c in T_big.closed_masks}
-    for D in T_small.closed_masks:
-        t = 0
-        for i in range(len(T_small.spectrum)):
-            if D >> i & 1:
-                t |= 1 << big_bits[i]
-        if t not in rel_family:
-            return False, "image of a closed set is not closed in the subspace"
-    for rel in rel_family:
-        if not T_small.is_closed(_pull_back(rel, big_bits)):
-            return False, "preimage of a closed set is not closed"
+    big_only = small_only = False
+    for i, b in enumerate(big_bits):
+        pulled = _pull_back(T_big.above[b], big_bits)
+        big_only |= pulled & ~T_small.above[i] != 0
+        small_only |= T_small.above[i] & ~pulled != 0
+    if big_only:
+        return False, "image of a closed set is not closed in the subspace"
+    if small_only:
+        return False, "preimage of a closed set is not closed"
     return True, ""
 
 
@@ -1203,30 +1204,14 @@ def run_suite(cfg=SuiteConfig()):
 
 
 def verify_homeomorphism(f, T1, T2):
-    """True iff the point bijection f (index map T1 -> T2) transports closed
-    sets both ways."""
+    """True iff the point bijection f (index map T1 -> T2) is a homeomorphism:
+    on these order topologies, iff f maps the closure of each point i onto
+    the closure of f[i]."""
     n1, n2 = len(T1.spectrum), len(T2.spectrum)
     f = tuple(f)
     if len(f) != n1 or n1 != n2 or len(set(f)) != n1:
         return False
-    closed2 = set(T2.closed_masks)
-    for c in T1.closed_masks:
-        img = 0
-        for i in range(n1):
-            if c >> i & 1:
-                img |= 1 << f[i]
-        if img not in closed2:
-            return False
-    inv = {v: i for i, v in enumerate(f)}
-    closed1 = set(T1.closed_masks)
-    for c in T2.closed_masks:
-        pre = 0
-        for j in range(n2):
-            if c >> j & 1:
-                pre |= 1 << inv[j]
-        if pre not in closed1:
-            return False
-    return True
+    return all(_pull_back(T2.above[f[i]], f) == T1.above[i] for i in range(n1))
 
 
 # ---------------------------------------------------------------------------

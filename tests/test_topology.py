@@ -1,10 +1,18 @@
+from functools import reduce
+from operator import and_
+
+import numpy as np
 import pytest
 
+from conftest import get_ring
 from idealspaces import (
+    ALL_KINDS,
+    DEFAULT_SUITE_EXPRS,
     Caps,
     CapExceeded,
     HypothesisViolated,
     closure_of,
+    enumerate_ideals,
     extract_idempotent,
     generate_ideal,
     generate_topology,
@@ -18,6 +26,7 @@ from idealspaces import (
     make_product,
     make_spectrum,
     make_zmod,
+    parse_ring_expression,
     strongly_disconnects,
     zero_ideal,
 )
@@ -62,12 +71,77 @@ class TestFamilies:
                 T = generate_topology(spec)
                 assert set(T.closed_masks) == up_set_family(spec), (R.label, kind)
 
-    def test_cap_exceeded(self, ring):
-        spec = make_spectrum(ring("Z6xZ6"), "prp")
-        with pytest.raises(CapExceeded):
+    def test_cap_exceeded(self):
+        spec = make_spectrum(parse_ring_expression("Z6xZ6"), "prp")  # fresh ring
+        with pytest.raises(CapExceeded, match=r"^closed base exceeds cap 10$"):
             generate_topology(spec, Caps(max_closed_sets=10))
-        with pytest.raises(CapExceeded):
+        n_closed = len(generate_topology(spec).closed_masks)
+        with pytest.raises(CapExceeded,
+                           match=rf"^closed family of {n_closed} sets exceeds cap 10$"):
+            generate_topology(spec, Caps(max_closed_sets=10))
+        with pytest.raises(CapExceeded, match=r"^15 points exceed cap 4$"):
             generate_topology(spec, Caps(max_points=4))
+
+
+def _reference_spaces():
+    """Every suite (ring, kind) space of at most 16 points, and Z2^4/prp."""
+    out = []
+    for expr in DEFAULT_SUITE_EXPRS:
+        for kind in ALL_KINDS:
+            spec = make_spectrum(get_ring(expr), kind)
+            if len(spec) <= 16:
+                out.append(generate_topology(spec))
+    out.append(space(get_ring("Z2xZ2xZ2xZ2"), "prp"))
+    return out
+
+
+def _oracle_family(T):
+    """Closed family from the hulls of every ideal, each hull computed from
+    the members, by the joint union/intersection fixpoint."""
+    spec = T.spectrum
+    hulls = set()
+    for a in enumerate_ideals(spec.ring).ideals:
+        hulls.add(sum(1 << j for j, p in enumerate(spec.points) if a.members <= p.members))
+    return joint_closure_family(hulls, spec.full_mask)
+
+
+class TestOrderDerivedTopology:
+    """The topology read off the point order against definitional routes."""
+
+    @pytest.fixture(scope="class")
+    def spaces(self):
+        return [(T, _oracle_family(T)) for T in _reference_spaces()]
+
+    def test_closed_family_matches_both_oracles(self, spaces):
+        assert len(spaces) > 100
+        for T, fam in spaces:
+            label = T.spectrum.label
+            assert T.closed_masks == tuple(sorted(fam)), label
+            assert fam == up_set_family(T.spectrum), label
+            assert T.base_masks == T.closed_masks, label
+
+    def test_closure_is_the_meet_of_closed_supersets(self, spaces):
+        for T, fam in spaces:
+            n = len(T.spectrum)
+            subsets = np.arange(1 << n, dtype=np.int64)
+            meet = np.full(1 << n, T.full_mask, dtype=np.int64)
+            for c in fam:
+                meet = np.where(subsets & ~c == 0, meet & c, meet)
+            got = [closure_of(T, S).mask for S in range(1 << n)]
+            assert got == meet.tolist(), T.spectrum.label
+
+    def test_irreducibles_are_the_nonunions(self, spaces):
+        for T, fam in spaces:
+            n = len(T.spectrum)
+            point_closures = [reduce(and_, (f for f in fam if f >> j & 1)) for j in range(n)]
+            expected = []
+            for c in sorted(fam, key=lambda m: (bin(m).count("1"), m)):
+                smaller = [a for a in fam if a & ~c == 0 and a != c]
+                if c and not any(a | b == c for a in smaller for b in smaller):
+                    gens = tuple(j for j in range(n) if point_closures[j] == c)
+                    expected.append((c, gens))
+            got = [(ps.mask, gens) for ps, gens in irreducible_closed_sets(T)]
+            assert got == expected, T.spectrum.label
 
 
 class TestClosure:

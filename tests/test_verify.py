@@ -1,11 +1,17 @@
+import random
+from functools import lru_cache
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from idealspaces import (
     ALL_CHECK_IDS,
     ALL_KINDS,
     REGISTRY,
+    FiniteRing,
     IdealSpacesError,
     SuiteConfig,
     SuiteRecord,
@@ -18,6 +24,8 @@ from idealspaces import (
     search_counterexamples,
     verify_homeomorphism,
 )
+from idealspaces.verify import _transport_is_homeo
+from conftest import get_ring
 
 DOCS_TABLE = Path(__file__).parent.parent / "docs" / "checks.md"
 
@@ -222,6 +230,136 @@ class TestHomeomorphism:
         T = generate_topology(make_spectrum(ring("Z12"), "prp"))
         assert not verify_homeomorphism((0,), T, T)
 
+
+def _transport_homeomorphism(f, T1, T2):
+    """verify_homeomorphism by transporting every closed set both ways."""
+    n1, n2 = len(T1.spectrum), len(T2.spectrum)
+    f = tuple(f)
+    if len(f) != n1 or n1 != n2 or len(set(f)) != n1:
+        return False
+    closed1, closed2 = set(T1.closed_masks), set(T2.closed_masks)
+    for c in closed1:
+        if sum(1 << f[i] for i in range(n1) if c >> i & 1) not in closed2:
+            return False
+    for c in closed2:
+        if sum(1 << i for i in range(n1) if c >> f[i] & 1) not in closed1:
+            return False
+    return True
+
+
+def _transport_embedding(T_big, big_bits, T_small):
+    """_transport_is_homeo by transporting every closed set: the images of
+    T_small's closed sets against the traces of T_big's on the image, then
+    the preimages of those traces."""
+    if len(set(big_bits)) != len(big_bits):
+        return False, "map not injective"
+    image = sum(1 << b for b in big_bits)
+    traces = {c & image for c in T_big.closed_masks}
+    for D in T_small.closed_masks:
+        if sum(1 << b for i, b in enumerate(big_bits) if D >> i & 1) not in traces:
+            return False, "image of a closed set is not closed in the subspace"
+    for t in traces:
+        if not T_small.is_closed(sum(1 << i for i, b in enumerate(big_bits) if t >> b & 1)):
+            return False, "preimage of a closed set is not closed"
+    return True, ""
+
+
+class TestHomeomorphismReference:
+    """The order-based homeomorphism tests against closed-set transport on
+    suite spaces of at most 12 points."""
+
+    @pytest.fixture(scope="class")
+    def spaces(self, suite_rings):
+        out = []
+        for R in suite_rings:
+            for kind in ALL_KINDS:
+                spec = make_spectrum(R, kind)
+                if 0 < len(spec) <= 12:
+                    out.append(generate_topology(spec))
+        return out
+
+    def test_bijections(self, spaces):
+        rng = random.Random(5)
+        outcomes = set()
+        for T1 in spaces:
+            n = len(T1.spectrum)
+            partners = [T for T in spaces if len(T.spectrum) == n]
+            maps = [tuple(range(n))] + [tuple(rng.sample(range(n), n)) for _ in range(8)]
+            for T2 in rng.sample(partners, min(6, len(partners))) + [T1]:
+                for f in maps:
+                    got = verify_homeomorphism(f, T1, T2)
+                    assert got == _transport_homeomorphism(f, T1, T2), (
+                        T1.spectrum.label, T2.spectrum.label, f)
+                    outcomes.add(got)
+        assert outcomes == {True, False}
+
+    def test_maps_into_larger_spaces(self, spaces):
+        rng = random.Random(7)
+        cases = []
+        for T_small in spaces:
+            n = len(T_small.spectrum)
+            for T_big in rng.sample(spaces, 12):
+                m = len(T_big.spectrum)
+                if m < n:
+                    continue
+                cases.append((T_big, tuple(rng.sample(range(m), n)), T_small))
+                cases.append((T_big, tuple(rng.randrange(m) for _ in range(n)), T_small))
+        # inclusions of one ring's spectra into another's are embeddings
+        for T_small in spaces:
+            for T_big in spaces:
+                big = T_big.spectrum
+                if big.ring is T_small.ring and all(
+                        big.contains_ideal(p) for p in T_small.spectrum.points):
+                    bits = tuple(big.index[p] for p in T_small.spectrum.points)
+                    cases.append((T_big, bits, T_small))
+        outcomes = set()
+        for T_big, bits, T_small in cases:
+            got = _transport_is_homeo(T_big, bits, T_small)
+            assert got == _transport_embedding(T_big, bits, T_small), (
+                T_big.spectrum.label, bits, T_small.spectrum.label)
+            outcomes.add(got[1])
+        assert outcomes == {"", "map not injective",
+                            "image of a closed set is not closed in the subspace",
+                            "preimage of a closed set is not closed"}
+
+
+def _relabelled(R, perm):
+    """R on permuted element indices: element x of R becomes perm[x].  The
+    copy keeps the names but carries no product components."""
+    perm = np.asarray(perm)
+    inv = np.argsort(perm)
+    return FiniteRing(perm[R.add[np.ix_(inv, inv)]], perm[R.mul[np.ix_(inv, inv)]],
+                      perm[R.zero], perm[R.one], f"{R.label}~",
+                      names=[R.names[x] for x in inv])
+
+
+def _statuses(R):
+    return {(cid, kind.value): run_check(cid, R, kind).status
+            for cid in ALL_CHECK_IDS for kind in ALL_KINDS}
+
+
+@lru_cache(maxsize=None)
+def _suite_statuses(expr):
+    return _statuses(get_ring(expr))
+
+
+class TestRelabelling:
+    """Statuses do not depend on how the elements are numbered."""
+
+    @pytest.mark.parametrize("expr", ["Z12", "Z2xZ4", "Z2xZ2xZ2", "Z36"])
+    @given(data=st.data())
+    @settings(max_examples=2, deadline=None)
+    def test_statuses_survive_a_permutation(self, expr, data):
+        R = get_ring(expr)
+        before = _suite_statuses(expr)
+        shuffles = st.permutations(range(R.size)).filter(lambda p: p != sorted(p))
+        after = _statuses(_relabelled(R, data.draw(shuffles)))
+        changed = {key for key in before if before[key] != after[key]}
+        if R.components is None:
+            assert not changed
+        else:  # T17 instantiates only on rings that carry their factors
+            assert {cid for cid, _ in changed} <= {"T17"}
+            assert all(after[key] == "vacuous" for key in after if key[0] == "T17")
 
 class TestSearch:
     def test_mip_failures_among_zmod(self):
