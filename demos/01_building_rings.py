@@ -1,7 +1,8 @@
 """Building finite commutative rings: cyclic, products, quotients, localizations.
 
-Every constructor validates the full ring axioms over all element triples,
-so anything you get back is a genuine commutative ring with identity.
+Every constructor validates the full ring axioms exactly (the three-variable
+laws are reduced to an additive generating set without losing any case), so
+anything you get back is a genuine commutative ring with identity.
 """
 
 from idealspaces import (

@@ -75,7 +75,6 @@ def _build_parser():
     sp = sub.add_parser("verify", help="run registry checks over rings x kinds")
     common(sp, kinds=True)
     sp.add_argument("--check", action="append", default=[], metavar="ID|all")
-    sp.add_argument("--jobs", type=int, default=1, metavar="N")
     sp.add_argument("--timings", action="store_true",
                     help="record per-item runtimes (breaks byte-identical output)")
 
@@ -192,7 +191,7 @@ def _cmd_verify(ns, out, caps):
             raise ParseError(f"unknown check {cid!r}")
     cfg = SuiteConfig(ring_exprs=tuple(ns.ring or DEFAULT_SUITE_EXPRS),
                       kinds=tuple(_kinds_from(ns)), checks=tuple(checks),
-                      caps=caps, jobs=ns.jobs, timings=ns.timings)
+                      caps=caps, timings=ns.timings)
     records = run_suite(cfg)
     if ns.format == "json":
         for r in records:

@@ -1,9 +1,12 @@
 """Ideal lattices: enumeration, arithmetic, and spectrum-kind classification.
 
 The lattice of a ring is computed once and cached on the ring itself, as the
-closure of all principal ideals under pairwise sums.  Classification
-predicates are definitional loops over elements and lattice members; the test
-suite cross-checks the enumeration against a dumb subset-filter oracle.
+closure of all principal ideals under pairwise sums.  Its arithmetic (sum,
+meet, product, radical) is kept as tables of lattice indices, and the fifteen
+spectrum kinds as one bit row each (``IdealLattice.kind_rows``), computed
+together in one pass over those tables; ``classify`` is a lookup in a row.
+The tests certify the enumeration against a subset-filter oracle and every
+kind row against the definitional per-ideal loops in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -84,16 +87,21 @@ class IdealLattice:
                          for i in range(len(below))])
 
     @cached_property
+    def inside(self):
+        """``inside[i, x]`` is True iff element x lies in ideals[i]."""
+        inside = np.zeros((len(self.ideals), self.ring.size), dtype=bool)
+        for i, a in enumerate(self.ideals):
+            inside[i, list(a.members)] = True
+        return inside
+
+    @cached_property
     def product(self):
-        mul = self.ring.mul_rows
-        ideals = self.ideals
-        n = len(ideals)
-        out = np.empty((n, n), dtype=np.intp)
-        for i, a in enumerate(ideals):
-            for j in range(i, n):
-                prods = {mul[x][y] for x in a.members for y in ideals[j].members}
-                out[i, j] = out[j, i] = self.smallest_containing(_elements_mask(prods))
-        return out
+        # bad[k, i, j] counts the x in a_i, y in a_j with x*y outside a_k
+        # (float32 counts of at most n² stay exact below 4096 elements); the
+        # smallest ideal with no such pair comes first in canonical order
+        inside = self.inside.astype(np.float32)
+        bad = inside @ (~self.inside[:, self.ring.mul]).astype(np.float32) @ inside.T
+        return (bad == 0).argmax(axis=0)
 
     @cached_property
     def radical(self):
@@ -114,13 +122,78 @@ class IdealLattice:
         return tuple(self.index(a) for a in witness_order(self.ideals))
 
     def maximal_ideals(self):
+        row = self.kind_rows[SpectrumKind.MAX]
+        return [a for i, a in enumerate(self.proper) if row >> i & 1]
+
+    @cached_property
+    def kind_rows(self):
+        """``kind_rows[kind]``: bit i is set iff ideals[i] is of that kind.
+
+        All fifteen rows come from one pass over the ring's tables and the
+        lattice's own, each by its definition and none from another row by
+        a theorem (the checks and tests assert those theorems):
+
+        - SPC, PRM: no x outside a and y outside a (for PRM, outside √a)
+          with x*y in a, read off the element-membership matrix and ``mul``;
+        - RAD: √a = a; NIL: a ⊆ √o; NIP: a^k = o for some k, by the powers
+          in ``product``;
+        - MAX: R is the only other ideal containing a; MIN: o is the only
+          other ideal inside a; SPN: prime with no smaller prime;
+        - IRR: a is not b ∩ c with b, c ≠ a; IRC: a differs from the meet of
+          the ideals strictly above it; IRS: b ∩ c ⊆ a forces b ⊆ a or
+          c ⊆ a;
+        - PRN: a = R·g for some g; REG: a holds a non-zero-divisor;
+          PRP: a ≠ R; FGN: every ideal, R included.
+        """
+        R = self.ring
         n = len(self.ideals)
-        out = []
-        for i, a in enumerate(self.ideals[:-1]):
-            covers = [j for j in range(n) if self.leq[i, j] and j != i]
-            if covers == [n - 1]:
-                out.append(a)
-        return out
+        idx = np.arange(n)
+        leq, meet, rad = self.leq, self.meet, self.radical
+        outside = ~self.inside
+        prod_in = self.inside[:, R.mul]  # [i, x, y]: x*y lies in ideals[i]
+
+        def never(left, right):  # no x in left[i], y in right[i] with x*y in ideals[i]
+            return ~(left[:, :, None] & right[:, None, :] & prod_in).any(axis=(1, 2))
+
+        spc = never(outside, outside)
+        product = self.product.tolist()
+        nip = np.zeros(n, dtype=bool)
+        for i in range(n):
+            p = i  # p runs through a, a², a³, ... until it stops shrinking
+            while p and product[p][i] != p:
+                p = product[p][i]
+            nip[i] = p == 0
+        irr = np.ones(n, dtype=bool)  # cleared where a_i = a_j ∩ a_k, a_j ≠ a_i ≠ a_k
+        irr[meet[(meet != idx[:, None]) & (meet != idx)]] = False
+        # common[i, k]: a_k lies in every ideal strictly above a_i
+        strict = (leq & (idx[:, None] != idx)).astype(np.float32)
+        common = strict @ (~leq).T.astype(np.float32) == 0
+        nb = ~leq  # nb[j, i]: a_j is not inside a_i
+        prn = np.zeros(n, dtype=bool)
+        prn[[self.mask_index[_elements_mask(s)] for s in set(R.principal)]] = True
+        regular = (R.mul == R.zero).sum(axis=1) == 1  # the non-zero-divisors
+        rows = {
+            SpectrumKind.SPC: spc,
+            SpectrumKind.MAX: leq.sum(axis=1) == 2,
+            SpectrumKind.SPN: spc & ((leq & spc[:, None]).sum(axis=0) == 1),
+            SpectrumKind.MIN: leq.sum(axis=0) == 2,
+            SpectrumKind.PRP: np.ones(n, dtype=bool),
+            SpectrumKind.RAD: rad == idx,
+            SpectrumKind.PRM: never(outside, outside[rad]),
+            SpectrumKind.NIL: leq[:, rad[0]],
+            SpectrumKind.NIP: nip,
+            SpectrumKind.IRR: irr,
+            SpectrumKind.IRC: n - 1 - common[:, ::-1].argmax(axis=1) != idx,
+            SpectrumKind.PRN: prn,
+            SpectrumKind.REG: (self.inside & regular).any(axis=1),
+            SpectrumKind.FGN: np.ones(n, dtype=bool),
+            SpectrumKind.IRS: ~(nb[:, None, :] & nb[None, :, :] & leq[meet]).any(axis=(0, 1)),
+        }
+        table = np.stack(list(rows.values()))
+        table[:, -1] = False  # every kind but FGN excludes R itself
+        table[list(rows).index(SpectrumKind.FGN), -1] = True
+        packed = np.packbits(table, axis=1, bitorder="little")
+        return {kind: int.from_bytes(bits.tobytes(), "little") for kind, bits in zip(rows, packed)}
 
 
 def _elements_mask(elements):
@@ -264,97 +337,8 @@ class SpectrumKind(str, Enum):
 ALL_KINDS = tuple(SpectrumKind)
 
 
-def _is_prime(a):
-    R = a.ring
-    if not a.proper:
-        return False
-    m, mul = a.members, R.mul_rows
-    out = [x for x in R.elements if x not in m]
-    return all(mul[x][y] not in m for x in out for y in out)
-
-
-def _is_primary(a):
-    R = a.ring
-    if not a.proper:
-        return False
-    m, mul = a.members, R.mul_rows
-    rad = radical(a).members
-    outside_rad = [y for y in R.elements if y not in rad]
-    return all(mul[x][y] not in m
-               for x in R.elements if x not in m for y in outside_rad)
-
-
-def _is_nilpotent_ideal(a):
-    R = a.ring
-    cur = a
-    for _ in range(R.size):
-        if len(cur.members) == 1:
-            return True
-        nxt = ideal_product(cur, a)
-        if nxt.members == cur.members:
-            return False
-        cur = nxt
-    return len(cur.members) == 1
-
-
 def classify(a, kind, caps=DEFAULT_CAPS):
-    """Decide membership of an ideal in the named spectrum.
-
-    Every kind except FGN excludes the whole ring.  Kinds that quantify over
-    the lattice (maximal, minimal, irreducible, ...) enumerate it on demand.
-    """
-    kind = SpectrumKind(kind)
-    R = a.ring
-    if kind is SpectrumKind.FGN:
-        return True  # every ideal of a finite ring is finitely generated
-    if not a.proper:
-        return False
-    if kind is SpectrumKind.PRP:
-        return True
-    if kind is SpectrumKind.SPC:
-        return _is_prime(a)
-    if kind is SpectrumKind.RAD:
-        return radical(a).members == a.members
-    if kind is SpectrumKind.PRM:
-        return _is_primary(a)
-    if kind is SpectrumKind.NIL:
-        return all(R.is_nilpotent(x) for x in a.members)
-    if kind is SpectrumKind.NIP:
-        return _is_nilpotent_ideal(a)
-    if kind is SpectrumKind.PRN:
-        return any(R.principal[x] == a.members for x in a.members)
-    if kind is SpectrumKind.REG:
-        return any(not R.is_zero_divisor(x) for x in a.members)
-
-    lat = enumerate_ideals(R, caps)
-    if kind is SpectrumKind.MAX:
-        return all(not (a < b and b.proper) for b in lat.ideals)
-    if kind is SpectrumKind.MIN:
-        return len(a.members) > 1 and all(
-            not (len(b.members) > 1 and b < a) for b in lat.ideals)
-    if kind is SpectrumKind.SPN:
-        if not _is_prime(a):
-            return False
-        return all(not (b < a and _is_prime(b)) for b in lat.ideals)
-    if kind is SpectrumKind.IRR:
-        for b in lat.ideals:
-            for c in lat.ideals:
-                if b.members & c.members == a.members and \
-                        b.members != a.members and c.members != a.members:
-                    return False
-        return True
-    if kind is SpectrumKind.IRC:
-        above = [b.members for b in lat.ideals if a < b]
-        meet = reduce(lambda m, s: m & s, above, frozenset(R.elements))
-        return meet != a.members
-    if kind is SpectrumKind.IRS:
-        for b in lat.ideals:
-            if b <= a:
-                continue
-            for c in lat.ideals:
-                if c <= a:
-                    continue
-                if b.members & c.members <= a.members:
-                    return False
-        return True
-    raise AssertionError(f"unhandled kind {kind}")  # pragma: no cover
+    """Whether the ideal a is of the named kind: a lookup in the kind rows
+    of its ring's lattice.  Every kind except FGN excludes the whole ring."""
+    lat = enumerate_ideals(a.ring, caps)
+    return bool(lat.kind_rows[SpectrumKind(kind)] >> lat.index(a) & 1)

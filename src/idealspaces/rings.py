@@ -1,12 +1,14 @@
 """Finite commutative rings with identity, stored as dense operation tables.
 
 A ring is a pair of ``size x size`` numpy tables over element indices
-``0..size-1`` together with distinguished ``zero`` and ``one`` indices.  Ring
-and hom constructors validate the axioms exhaustively on the numpy tables; the
-tables are small by design (capped at 64 elements by default), so the
-vectorised triple loops are cheap.  Element-by-element work reads the same
-tables as rows of Python ints (``add_rows``, ``mul_rows``), built lazily once
-per ring, because indexing numpy scalars inside Python loops is slow.
+``0..size-1`` together with distinguished ``zero`` and ``one`` indices.  The
+ring constructor validates every axiom exactly, but quantifies the
+three-variable laws (associativity, distributivity) over a small additive
+generating set only, so validation costs O(n²·|G|) and never builds a table
+of n³ entries (see ``FiniteRing._validate``).  Element-by-element work reads
+the same tables as rows of Python ints (``add_rows``, ``mul_rows``), built
+lazily once per ring, because indexing numpy scalars inside Python loops is
+slow.
 
 ``Ideal(R, members)`` validates the ideal axioms, so any set given from
 outside is checked.  Builders whose result is an ideal by construction (spans,
@@ -62,26 +64,59 @@ class FiniteRing:
         self.components = tuple(components) if components is not None else None
         self._validate()
         self._derived = {}  # per-ring caches of the other modules, keyed by name
-        # additive inverse table, derived after validation
-        self.neg = np.array([int(np.where(add[a] == self.zero)[0][0]) for a in range(size)],
-                            dtype=np.int64)
+        # additive inverses: validation found a zero in every row of add
+        self.neg = (add == self.zero).argmax(axis=1)
         add.flags.writeable = False
         mul.flags.writeable = False
         self.neg.flags.writeable = False
 
     def _validate(self):
+        """Check the axioms of a commutative ring with identity, exactly.
+
+        The checks and their messages come in a fixed order: ranges of zero
+        and one; for + and then *, range, commutativity, associativity; then
+        the identities, additive inverses and distributivity.  Every check
+        is exact.  The three-variable laws quantify their third variable
+        over G only (``_additive_generators``), a set whose closure under
+        x ↦ x + g (g in G) is R, so that G generates (R, +) as a magma:
+
+        - + is associative iff (x+g)+y = x+(g+y) for all x, y and g in G.
+          Light's lemma: the middle-associative elements of a magma form a
+          submagma, so they are all of R once they include G.
+        - Once + is associative, * distributes over + iff a(b+c) = ab+ac
+          for all a, b and c in G: if c and d are good, a(b+(c+d)) =
+          a((b+c)+d) = (ab+ac)+ad = ab+a(c+d), so the good c are closed
+          under +.
+        - Once * commutes and distributes, * is associative iff
+          (xg)y = x(gy) for all x, y and g in G: if m and m' are good,
+          (x(m+m'))y = (xm)y+(xm')y = x(my)+x(m'y) = x((m+m')y).
+
+        When distributivity fails, the reduced * check proves nothing, so
+        associativity of * is scanned over every middle element instead,
+        one n x n slice at a time; associativity keeps its precedence in
+        the messages either way.
+        """
         n, add, mul, zero, one = self.size, self.add, self.mul, self.zero, self.one
         if not (0 <= zero < n and 0 <= one < n):
             raise RingAxiomError("zero/one indices out of range")
         if zero == one:
             raise RingAxiomError("zero and one must differ")
         for table, op in ((add, "+"), (mul, "*")):
+            # the range check comes before any indexing with table entries
             if table.min() < 0 or table.max() >= n:
                 raise RingAxiomError(f"table for {op} contains out-of-range entries")
             if not np.array_equal(table, table.T):
                 raise RingAxiomError(f"{op} is not commutative")
-            # associativity: op(op(a,b),c) == op(a,op(b,c)) for all triples
-            if not np.array_equal(table[table, :], table[:, table]):
+            if table is add:
+                gens = _additive_generators(add)
+                middles = gens
+            else:
+                distributes = all(
+                    np.array_equal(mul[:, add[:, c]], add[mul, mul[:, c, None]])
+                    for c in gens)
+                middles = gens if distributes else range(n)
+            if not all(np.array_equal(table[table[:, m]], table[:, table[m]])
+                       for m in middles):
                 raise RingAxiomError(f"{op} is not associative")
         if not np.array_equal(add[zero], np.arange(n)):
             raise RingAxiomError("zero is not an additive identity")
@@ -90,10 +125,7 @@ class FiniteRing:
         # additive inverses: every row of add must contain zero
         if not np.all((add == zero).any(axis=1)):
             raise RingAxiomError("some element has no additive inverse")
-        # distributivity: a*(b+c) == a*b + a*c
-        lhs = mul[:, add]
-        rhs = add[mul[:, :, None], mul[:, None, :]]
-        if not np.array_equal(lhs, rhs):
+        if not distributes:
             raise RingAxiomError("multiplication does not distribute over addition")
 
     # identity semantics: no __eq__/__hash__ overrides on purpose
@@ -129,14 +161,6 @@ class FiniteRing:
         distinct = {}
         return tuple(distinct.setdefault(s, s) for s in map(frozenset, self.mul_rows))
 
-    def pow(self, x, k):
-        """x**k with x**0 = 1."""
-        row = self.mul_rows[x]
-        acc = self.one
-        for _ in range(k):
-            acc = row[acc]
-        return acc
-
     def sub(self, a, b):
         return self.add_rows[a][int(self.neg[b])]
 
@@ -152,20 +176,31 @@ class FiniteRing:
         mul = self.mul_rows
         return tuple(x for x in self.elements if mul[x][x] == x)
 
-    def is_nilpotent(self, x):
-        mul = self.mul_rows
-        seen = set()
-        while x not in seen:
-            if x == self.zero:
-                return True
-            seen.add(x)
-            x = mul[x][x]
-        return x == self.zero
 
-    def is_zero_divisor(self, x):
-        """True when x*y = 0 for some nonzero y (zero itself counts)."""
-        # x*0 = 0 always, so a second zero in the row is a nonzero y
-        return self.mul_rows[x].count(self.zero) > 1
+def _additive_generators(add):
+    """Greedy G whose closure under the translations x ↦ x + g (g in G) is R.
+
+    Each element not yet reached joins G.  When + is a group operation, the
+    closure of G is the subgroup it generates, so every new generator at
+    least doubles it and |G| <= log2(n) + 1; ``[0, 1]`` for Z/n.
+    """
+    n = len(add)
+    cols = add.T.tolist()  # cols[g][x] = x + g
+    gens, reached = [], [False] * n
+    for x in range(n):
+        if reached[x]:
+            continue
+        gens.append(x)
+        reached[x] = True
+        stack = [y for y in range(n) if reached[y]]
+        while stack:
+            y = stack.pop()
+            for g in gens:
+                z = cols[g][y]
+                if not reached[z]:
+                    reached[z] = True
+                    stack.append(z)
+    return gens
 
 
 @dataclass(frozen=True)
@@ -398,31 +433,16 @@ def make_product(rings, caps=DEFAULT_CAPS, label=None):
     if total > caps.max_ring_size:
         raise CapExceeded(f"product size {total} exceeds cap {caps.max_ring_size}")
 
-    def decode(i):
-        out = []
-        for s in sizes:
-            out.append(i % s)
-            i //= s
-        return tuple(out)
-
-    def encode(tup):
-        i = 0
-        for x, s in zip(reversed(tup), reversed(sizes)):
-            i = i * s + x
-        return i
-
-    add = [[0] * total for _ in range(total)]
-    mul = [[0] * total for _ in range(total)]
-    for i in range(total):
-        ti = decode(i)
-        for j in range(total):
-            tj = decode(j)
-            add[i][j] = encode(tuple(R.add_rows[a][b] for R, a, b in zip(rings, ti, tj)))
-            mul[i][j] = encode(tuple(R.mul_rows[a][b] for R, a, b in zip(rings, ti, tj)))
-    names = ["(" + ",".join(R.name(x) for R, x in zip(rings, decode(i))) + ")"
-             for i in range(total)]
-    zero = encode(tuple(R.zero for R in rings))
-    one = encode(tuple(R.one for R in rings))
+    # digits[k][i] is the k-th component of element i, weighted by strides[k]
+    strides = np.cumprod([1] + sizes[:-1])
+    index = np.arange(total)
+    digits = [index // st % s for st, s in zip(strides, sizes)]
+    add = sum(st * R.add[d[:, None], d] for R, st, d in zip(rings, strides, digits))
+    mul = sum(st * R.mul[d[:, None], d] for R, st, d in zip(rings, strides, digits))
+    columns = [[R.names[x] for x in d.tolist()] for R, d in zip(rings, digits)]
+    names = ["(" + ",".join(parts) + ")" for parts in zip(*columns)]
+    zero = int(sum(st * R.zero for R, st in zip(rings, strides)))
+    one = int(sum(st * R.one for R, st in zip(rings, strides)))
     return FiniteRing(add, mul, zero, one,
                       label or "x".join(R.label for R in rings),
                       names=names, components=rings, caps=caps)

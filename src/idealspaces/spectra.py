@@ -19,7 +19,6 @@ from .caps import DEFAULT_CAPS
 from .errors import MixedRings
 from .ideals import (
     SpectrumKind,
-    classify,
     contraction,
     enumerate_ideals,
     witness_order,
@@ -103,7 +102,8 @@ def make_spectrum(R, kind, caps=DEFAULT_CAPS):
     if kind in per_ring:
         return per_ring[kind]
     lat = enumerate_ideals(R, caps)
-    points = [a for a in lat.ideals if a.proper and classify(a, kind, caps)]
+    row = lat.kind_rows[kind]
+    points = [a for i, a in enumerate(lat.proper) if row >> i & 1]
     spec = Spectrum(R, kind, points, lat)
     per_ring[kind] = spec
     return spec

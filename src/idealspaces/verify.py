@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import or_
@@ -1127,7 +1126,6 @@ class SuiteConfig:
     kinds: tuple = tuple(k.value for k in ALL_KINDS)
     checks: tuple = ALL_CHECK_IDS
     caps: object = DEFAULT_CAPS
-    jobs: int = 1
     timings: bool = False
 
 
@@ -1191,12 +1189,7 @@ def run_suite(cfg=SuiteConfig()):
                            kind=kv, status=status, witness=witness, notes=notes,
                            runtime_ms=ms)
 
-    if cfg.jobs > 1:
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            records = list(pool.map(run_item, items))
-    else:
-        records = [run_item(it) for it in items]
-    return errors + records
+    return errors + [run_item(it) for it in items]
 
 
 # ---------------------------------------------------------------------------

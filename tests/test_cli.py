@@ -88,10 +88,6 @@ class TestOutputs:
                        "--kind", "prp") == 0
         assert "Z12" in capsys.readouterr().out
 
-    def test_jobs_flag(self, capsys):
-        assert run_cli("verify", "--ring", "Z4", "--check", "T09",
-                       "--jobs", "3") == 0
-
 
 def _run_subprocess(seed, extra=()):
     env = dict(os.environ, PYTHONHASHSEED=str(seed))

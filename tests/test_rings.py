@@ -1,4 +1,8 @@
+import json
+import random
+import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from idealspaces import (
+    DEFAULT_SUITE_EXPRS,
     Caps,
     CapExceeded,
     ImproperIdeal,
@@ -28,6 +33,9 @@ from idealspaces import (
     zero_ideal,
 )
 from idealspaces.rings import FiniteRing, Ideal
+from oracles import brute_force_ring_axioms
+
+SEARCH_POOL = Path(__file__).resolve().parent.parent / "perfbench" / "golden" / "search.json"
 
 
 class TestMakeZmod:
@@ -76,6 +84,108 @@ class TestMakeZmod:
         mul[2, 3] = 1  # breaks commutativity
         with pytest.raises(RingAxiomError):
             FiniteRing(R.add, mul, 0, 1, "broken")
+
+    def test_validation_builds_no_cubic_table(self):
+        make_zmod(3)  # warm the imports
+        tracemalloc.start()
+        try:
+            make_zmod(64)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20  # one 64³ int64 table alone takes 2 MiB
+
+
+def _table(n, op):
+    return [[op(a, b) % n for b in range(n)] for a in range(n)]
+
+
+def _z(n):
+    return _table(n, lambda a, b: a + b), _table(n, lambda a, b: a * b)
+
+
+def _with(table, a, b, value):
+    table = [list(row) for row in table]
+    table[a][b] = value
+    return table
+
+
+_Z4_ADD, _Z4_MUL = _z(4)
+_Z3_ADD, _Z3_MUL = _z(3)
+_NOT_ASSOCIATIVE = _table(3, lambda a, b: -a - b)  # commutative, not associative
+_MAX = [[max(a, b) for b in range(4)] for a in range(4)]
+_MIN = [[min(a, b) for b in range(4)] for a in range(4)]
+# Z2xZ2xZ2 (+ is xor, * is and on the index bits) with elements 6 and 7
+# swapped in * only: * distributes over c = 0 and 1, but not over all of
+# the additive generators 0, 1, 2, 4
+_SWAP67 = [0, 1, 2, 3, 4, 5, 7, 6]
+_XOR = [[a ^ b for b in range(8)] for a in range(8)]
+_AND_SWAPPED = [[_SWAP67[_SWAP67[a] & _SWAP67[b]] for b in range(8)] for a in range(8)]
+
+
+class TestRingValidation:
+    """One case per message of ``FiniteRing``'s axiom check, each also
+    worded the same by the n³ reference in ``oracles``, and seeded table
+    edits on which the two must agree exactly."""
+
+    CASES = [
+        ("zero/one indices out of range", _Z4_ADD, _Z4_MUL, 4, 1),
+        ("zero and one must differ", _Z4_ADD, _Z4_MUL, 0, 0),
+        ("table for + contains out-of-range entries", _with(_Z4_ADD, 1, 2, -1), _Z4_MUL, 0, 1),
+        ("table for + contains out-of-range entries", _with(_Z4_ADD, 3, 0, 4), _Z4_MUL, 0, 1),
+        ("+ is not commutative", _with(_Z4_ADD, 1, 2, 0), _Z4_MUL, 0, 1),
+        ("+ is not associative", _NOT_ASSOCIATIVE, _Z3_MUL, 0, 1),
+        ("table for * contains out-of-range entries", _Z4_ADD, _with(_Z4_MUL, 2, 3, 4), 0, 1),
+        ("* is not commutative", _Z4_ADD, _with(_Z4_MUL, 2, 3, 1), 0, 1),
+        # also fails distributivity, which must not take precedence
+        ("* is not associative", _Z3_ADD, _NOT_ASSOCIATIVE, 0, 1),
+        ("zero is not an additive identity", _Z4_ADD, _Z4_MUL, 2, 1),
+        ("one is not a multiplicative identity", _Z4_ADD, _Z4_MUL, 0, 3),
+        # a distributive lattice: max has identity 0 but no inverses
+        ("some element has no additive inverse", _MAX, _MIN, 0, 3),
+        # x*y = x+y-1 is a commutative group with identity 1
+        ("multiplication does not distribute over addition",
+         _Z4_ADD, _table(4, lambda a, b: a + b - 1), 0, 1),
+        ("multiplication does not distribute over addition", _XOR, _AND_SWAPPED, 0, 6),
+    ]
+
+    @pytest.mark.parametrize("message,add,mul,zero,one", CASES)
+    def test_each_axiom_message(self, message, add, mul, zero, one):
+        assert brute_force_ring_axioms(add, mul, zero, one) == message
+        with pytest.raises(RingAxiomError, match=re.escape(message)):
+            FiniteRing(add, mul, zero, one, "broken")
+
+    def test_tables_must_be_square(self):
+        with pytest.raises(RingAxiomError, match="square"):
+            FiniteRing(_Z4_ADD, [row[:3] for row in _Z4_MUL], 0, 1, "broken")
+
+    @pytest.mark.parametrize("expr", DEFAULT_SUITE_EXPRS + ("Z64",))
+    def test_edited_tables_match_the_cubic_reference(self, ring, expr):
+        R = ring(expr)
+        n = R.size
+        rng = random.Random(f"ring-axioms:{expr}")
+        seen = set()
+        for trial in range(60):
+            tables = [np.array(R.add), np.array(R.mul)]
+            edits = 1 if trial % 3 == 0 else 2
+            t, a, b = rng.randrange(2), rng.randrange(n), rng.randrange(n)
+            value = rng.choice((rng.randrange(n), rng.randrange(n), n, -1))
+            tables[t][a, b] = value
+            if trial % 3 == 1:  # a symmetric edit keeps the table commutative
+                tables[t][b, a] = value
+            elif edits == 2:
+                tables[rng.randrange(2)][rng.randrange(n), rng.randrange(n)] = rng.randrange(n)
+            expected = brute_force_ring_axioms(*tables, R.zero, R.one)
+            try:
+                FiniteRing(*tables, R.zero, R.one, "edited")
+                got = None
+            except RingAxiomError as exc:
+                got = str(exc)
+            assert got == expected, (expr, trial)
+            seen.add(got)
+        # the edits reach both associativity checks (on Z2, * needs more edits)
+        assert "+ is not associative" in seen
+        assert n == 2 or "* is not associative" in seen
 
 
 class TestIdealValidation:
@@ -131,6 +241,53 @@ class TestMakeProduct:
         # (1, 0) is index 1; (0, 1) is index 2
         assert R.name(1) == "(1,0)"
         assert R.name(2) == "(0,1)"
+
+    def test_tables_match_the_per_pair_loop(self):
+        """Every product ring of the default suite and of the benchmark's
+        search pool, against the decode/encode loop over element pairs."""
+        pool = json.loads(SEARCH_POOL.read_text(encoding="utf-8"))["pool"]
+        exprs = DEFAULT_SUITE_EXPRS + tuple(e for stratum in pool.values() for e in stratum)
+        products = {re.split(r"[/@]", e)[0] for e in exprs}
+        products = sorted(p for p in products if "x" in p)
+        assert len(products) >= 80
+        for expr in products:
+            rings = [make_zmod(int(f[1:])) for f in expr.split("x")]
+            R = make_product(rings)
+            add, mul, names, zero, one = _pair_loop_product(rings)
+            assert R.add.tolist() == add and R.mul.tolist() == mul, expr
+            assert R.names == names and (R.zero, R.one) == (zero, one), expr
+
+
+def _pair_loop_product(rings):
+    """The product tables built element pair by element pair."""
+    sizes = [R.size for R in rings]
+    total = int(np.prod(sizes))
+
+    def decode(i):
+        out = []
+        for s in sizes:
+            out.append(i % s)
+            i //= s
+        return tuple(out)
+
+    def encode(tup):
+        i = 0
+        for x, s in zip(reversed(tup), reversed(sizes)):
+            i = i * s + x
+        return i
+
+    add = [[0] * total for _ in range(total)]
+    mul = [[0] * total for _ in range(total)]
+    for i in range(total):
+        ti = decode(i)
+        for j in range(total):
+            tj = decode(j)
+            add[i][j] = encode(tuple(R.add_rows[a][b] for R, a, b in zip(rings, ti, tj)))
+            mul[i][j] = encode(tuple(R.mul_rows[a][b] for R, a, b in zip(rings, ti, tj)))
+    names = tuple("(" + ",".join(R.name(x) for R, x in zip(rings, decode(i))) + ")"
+                  for i in range(total))
+    return (add, mul, names, encode(tuple(R.zero for R in rings)),
+            encode(tuple(R.one for R in rings)))
 
 
 class TestQuotient:

@@ -1,6 +1,7 @@
 """The shared tables that the check bodies read, each against an independent
-route: the lattice arithmetic tables, the spectrum hull table, the canonical
-hom views, and T01's vectorised laws against the scalar loops they replace.
+route: the lattice arithmetic tables, the kind rows, the spectrum hull table,
+the canonical hom views, and T01's vectorised laws against the scalar loops
+they replace.
 """
 
 import gc
@@ -13,6 +14,7 @@ from idealspaces import (
     Caps,
     PointSet,
     check_contraction_property,
+    classify,
     contraction,
     enumerate_ideals,
     generate_ideal,
@@ -32,7 +34,12 @@ from idealspaces import (
 from idealspaces.reports import FAILS, HOLDS, VerdictReport, w_ideal
 from idealspaces.spectra import hull_mask
 from idealspaces.verify import _localization_views, _quotient_views, _subset_samples
-from oracles import brute_force_radical_members
+from oracles import (
+    brute_force_ideal_sets,
+    brute_force_is_prime,
+    brute_force_radical_members,
+    reference_classify,
+)
 
 SAMPLE_SEED = 0x1DEA15
 
@@ -71,6 +78,45 @@ class TestLatticeTables:
             order = [lat.ideals[i] for i in lat.witness_indices]
             assert [len(a) for a in order] == sorted((len(a) for a in order), reverse=True)
             assert sorted(lat.witness_indices) == list(range(len(lat)))
+
+
+def _kind_row_rings(suite_rings, ring):
+    """The suite rings, five larger ones, and the target of every canonical
+    quotient and localization of a suite ring."""
+    rings = list(suite_rings)
+    rings += [ring(e) for e in ("Z64", "Z60", "Z2xZ2xZ2xZ2", "Z2xZ2xZ2xZ2xZ2", "Z4xZ4xZ4")]
+    for R in suite_rings:
+        views = _quotient_views(R, DEFAULT_CAPS) + _localization_views(R, DEFAULT_CAPS)
+        rings += [v.hom.target for v in views]
+    return rings
+
+
+class TestKindRows:
+    def test_rows_match_the_per_ideal_loops(self, suite_rings, ring):
+        for R in _kind_row_rings(suite_rings, ring):
+            lat = enumerate_ideals(R)
+            sets = (brute_force_ideal_sets(R) if R.size <= 16
+                    else [a.members for a in lat.ideals])
+            for kind in ALL_KINDS:
+                expect = [reference_classify(R, sets, a.members, kind) for a in lat.ideals]
+                got = [bool(lat.kind_rows[kind] >> i & 1) for i in range(len(lat))]
+                assert got == expect, (R.label, kind)
+                assert [classify(a, kind) for a in lat.ideals] == expect
+                assert make_spectrum(R, kind).points == tuple(
+                    a for a, e in zip(lat.proper, expect) if e)
+
+    def test_small_rows_match_the_prime_and_radical_oracles(self, suite_rings, ring):
+        for R in _kind_row_rings(suite_rings, ring):
+            if R.size > 16:
+                continue
+            lat = enumerate_ideals(R)
+            nil = brute_force_radical_members(R, {R.zero})
+            for i, a in enumerate(lat.ideals):
+                rows = {k.value: bool(lat.kind_rows[k] >> i & 1) for k in ALL_KINDS}
+                assert rows["spc"] == brute_force_is_prime(R, a.members), (R.label, a)
+                is_radical = brute_force_radical_members(R, a.members) == a.members
+                assert rows["rad"] == (a.proper and is_radical), (R.label, a)
+                assert rows["nil"] == (a.proper and a.members <= nil), (R.label, a)
 
 
 class TestHullTable:

@@ -196,11 +196,6 @@ class TestSuite:
         again = run_suite(SuiteConfig())
         assert [r.to_json() for r in records] == [r.to_json() for r in again]
 
-    def test_parallel_jobs_merge_identically(self, records):
-        par = run_suite(SuiteConfig(checks=("T03", "T09"), jobs=4))
-        seq = run_suite(SuiteConfig(checks=("T03", "T09"), jobs=1))
-        assert [r.to_json() for r in par] == [r.to_json() for r in seq]
-
     def test_error_isolation(self):
         records = run_suite(SuiteConfig(ring_exprs=("Z4", "Z999"), checks=("T09",)))
         errors = [r for r in records if r.status == "error"]
