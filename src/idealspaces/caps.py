@@ -4,6 +4,8 @@ Every exhaustive enumeration in the package is bounded by an explicit cap and
 raises :class:`~idealspaces.errors.CapExceeded` instead of truncating.  The
 defaults admit rings of up to 64 elements and spectra of up to 24 points;
 an instance past a cap becomes an ``error`` record in the suite report.
+``max_closed_sets`` guards only the displayed closed family
+(``TopologySpace.closed_masks``), which no check enumerates.
 """
 
 from dataclasses import dataclass, replace

@@ -56,7 +56,6 @@ def _build_parser():
                         help="ASCII ideal rendering in text mode")
         sp.add_argument("--out", metavar="PATH", help="write output to a file")
         sp.add_argument("--max-ideals", type=int, metavar="N")
-        sp.add_argument("--max-closed-sets", type=int, metavar="N")
 
     sp = sub.add_parser("ring", help="construct a ring and print its facts")
     common(sp)
@@ -71,6 +70,8 @@ def _build_parser():
     common(sp, kinds=True)
     sp.add_argument("--props", default="t0,t1,sober,connected,quasicompact",
                     help="comma list from t0,t1,sober,connected,quasicompact")
+    sp.add_argument("--max-closed-sets", type=int, metavar="N",
+                    help="cap on the displayed closed family")
 
     sp = sub.add_parser("verify", help="run registry checks over rings x kinds")
     common(sp, kinds=True)

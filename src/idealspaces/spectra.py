@@ -40,7 +40,10 @@ class Spectrum:
       inclusion matrix.  Every ideal of R is in the lattice, so ``hull_mask``
       becomes a lookup;
     - ``x_radicals[i]`` is the lattice index of k(h(a_i)), the meet of the
-      points containing a_i (R when there are none).
+      points containing a_i (R when there are none);
+    - ``kernel_image`` holds the lattice indices of im(k) = {k(S) : S ⊆ X},
+      every meet of a set of points and R = k(∅), in the canonical witness
+      order: the quantifier domain of the meet-inclusion checks.
 
     ``topology`` holds the spectrum's ``TopologySpace`` once
     ``generate_topology`` has built it.
@@ -86,6 +89,17 @@ class Spectrum:
                     acc = meet[acc][p]
             out.append(acc)
         return tuple(out)
+
+    @cached_property
+    def kernel_image(self):
+        # fold the points in one at a time: the meets of subsets of the first
+        # j+1 points are those of the first j, and those met with point j
+        meet = self.lattice.meet
+        out = {len(self.lattice) - 1}
+        for p in self.lattice_indices:
+            col = meet[:, p].tolist()
+            out |= {col[i] for i in out}
+        return tuple(i for i in self.lattice.witness_indices if i in out)
 
     @cached_property
     def point_positions(self):
@@ -179,20 +193,9 @@ def kernel(S):
 
 
 def image_of_kernel(spec):
-    """{k(S) : S subseteq X}: the points closed under pairwise intersection,
-    plus R from the empty subset.  Canonically ordered, smallest first."""
-    seen = {p.members for p in spec.points}
-    frontier = list(seen)
-    while frontier:
-        m = frontier.pop()
-        for other in list(seen):
-            c = m & other
-            if c not in seen:
-                seen.add(c)
-                frontier.append(c)
-    out = [_trusted_ideal(spec.ring, m) for m in seen]  # meets of ideals
-    out.append(unit_ideal(spec.ring))
-    return sorted(out, key=lambda a: a.sort_key)
+    """{k(S) : S subseteq X}: the meets of the points, plus R from the empty
+    subset.  Canonically ordered, smallest first."""
+    return [spec.lattice.ideals[i] for i in sorted(spec.kernel_image)]
 
 
 def x_radical(spec, a):
@@ -205,19 +208,21 @@ def check_mip(spec):
 
     Quantifies a, b over image_of_kernel (R included, vacuously harmless) and
     s over spectrum points: a cap b subseteq s must force a subseteq s or
-    b subseteq s.  Fails with the canonical witness triple (a, b, s).
+    b subseteq s.  Fails with the canonical witness triple (a, b, s), the
+    first in witness order, read off the lattice's inclusion and meet tables.
     """
-    imk = witness_order(image_of_kernel(spec))
-    points = witness_order(spec.points)
-    for a in imk:
-        for b in imk:
-            meet = a.members & b.members
-            for s in points:
-                if meet <= s.members and not a <= s and not b <= s:
-                    return VerdictReport(
-                        "mip", FAILS,
-                        witness={"a": w_ideal(a), "b": w_ideal(b), "s": w_ideal(s)},
-                        notes=f"{a.name} ∩ {b.name} ⊆ {s.name} but neither factor is contained")
+    lat, imk = spec.lattice, list(spec.kernel_image)
+    points = [i for i in lat.witness_indices if spec.point_positions[i] is not None]
+    inside = lat.leq[:, points]  # inside[i, s]: a_i ⊆ the s-th point
+    out = ~inside[imk]
+    bad = inside[lat.meet[np.ix_(imk, imk)]] & out[:, None, :] & out[None, :, :]
+    if bad.any():
+        i, j, k = np.unravel_index(int(bad.argmax()), bad.shape)
+        a, b, s = lat.ideals[imk[i]], lat.ideals[imk[j]], lat.ideals[points[k]]
+        return VerdictReport(
+            "mip", FAILS,
+            witness={"a": w_ideal(a), "b": w_ideal(b), "s": w_ideal(s)},
+            notes=f"{a.name} ∩ {b.name} ⊆ {s.name} but neither factor is contained")
     return VerdictReport("mip", HOLDS, notes=f"{len(imk)} kernel-image ideals checked")
 
 
@@ -226,15 +231,15 @@ def kuratowski_union_axiom(spec):
 
     Reduced to pairs over the kernel image: the axiom over all subset pairs
     is equivalent to hull(a cap b) = hull(a) u hull(b) for a, b in im(k).
-    Returns (bool, witness_pair_or_None).
+    Returns (bool, witness_pair_or_None), the first failing pair in witness
+    order.
     """
-    imk = witness_order(image_of_kernel(spec))
-    masks = {a: hull_mask(spec, a) for a in imk}
-    for a in imk:
-        for b in imk:
-            both = hull_mask(spec, ideal_intersect_members(spec.ring, a, b))
-            if both != masks[a] | masks[b]:
-                return False, (a, b)
+    lat, hulls, imk = spec.lattice, spec.hulls, spec.kernel_image
+    meet = lat.meet[np.ix_(imk, imk)].tolist()
+    for x, a in enumerate(imk):
+        for y, b in enumerate(imk):
+            if hulls[meet[x][y]] != hulls[a] | hulls[b]:
+                return False, (lat.ideals[a], lat.ideals[b])
     return True, None
 
 

@@ -4,46 +4,54 @@ The distinct hulls {h(a) : a in Idl(R)} form a closed subbase.  Every hull is
 an up-set of the points under inclusion, and the hull of a point p is ↑p, so
 on a finite spectrum the closed sets are exactly the up-sets (the Alexandroff
 topology of the inclusion order).  ``TopologySpace.above[j]`` is the closure
-of point j, one row of the spectrum's hull table; closures, irreducible
-closed sets and separation verdicts read it directly, and the closed family
-is enumerated as the unions of its rows.  Closed sets are bitmasks over
+of point j, one row of the spectrum's hull table, and every predicate here
+reads it: closures, irreducible closed sets, separation, closedness, and
+connectedness (the components are the point closures merged where they
+overlap).  The closed family itself is enumerated only for display, on first
+read, under the ``max_closed_sets`` cap.  Closed sets are bitmasks over
 spectrum points, and exceeding a cap raises instead of approximating.
 """
 
 from __future__ import annotations
 
+from functools import cached_property, reduce
+from operator import or_
+
 from .caps import DEFAULT_CAPS
 from .errors import CapExceeded, HypothesisViolated, MixedRings, NoPartitionFound
 from .ideals import enumerate_ideals, jacobson_radical, witness_order
 from .reports import FAILS, HOLDS, VerdictReport, w_ideal, w_point_set
-from .spectra import PointSet, hull_mask
+from .spectra import PointSet, has_partition_of_unity, hull_mask
 
 
 class TopologySpace:
-    """A spectrum with its subbase and closed family, read off the point order.
+    """A spectrum with its subbase, read off the point order.
 
     ``above[j]`` is the mask of the points containing point j, which is both
-    h(points[j]) and the closure of {points[j]}.  The closed family is every
-    union of ``above`` rows (the up-sets), enumerated once; it raises
-    CapExceeded as soon as it counts more than ``max_closed`` sets.  Every
-    up-set is a union of hulls, so the closed base is the closed family.
+    h(points[j]) and the closure of {points[j]}; a mask is closed iff it is an
+    up-set, i.e. holds ``above[j]`` for each of its points j.  The closed
+    family (every union of ``above`` rows) is enumerated lazily, on the first
+    read of ``closed_masks``, and raises CapExceeded as soon as it counts more
+    than ``max_closed`` sets; no predicate or check reads it.  Every up-set is
+    a union of hulls, so the closed base is the closed family.
     """
 
     def __init__(self, spectrum, max_closed):
         self.spectrum = spectrum
+        self.max_closed = max_closed
         self.above = tuple(spectrum.hulls[i] for i in spectrum.lattice_indices)
+        self.subbase_masks = tuple(sorted(set(spectrum.hulls)))
+
+    @cached_property
+    def closed_masks(self):
         closed = {0}
         for row in self.above:
             for c in list(closed):
                 if c | row not in closed:
                     closed.add(c | row)
-                    if len(closed) > max_closed:
-                        raise CapExceeded(f"closed base exceeds cap {max_closed}")
-        self.closed_masks = tuple(sorted(closed))
-        self._closed_set = frozenset(closed)
-        # the lattice is in ascending order, so the largest ideal per hull wins
-        self._kernel_ideal = dict(zip(spectrum.hulls, spectrum.lattice.ideals))
-        self.subbase_masks = tuple(sorted(self._kernel_ideal))
+                    if len(closed) > self.max_closed:
+                        raise CapExceeded(f"closed base exceeds cap {self.max_closed}")
+        return tuple(sorted(closed))
 
     @property
     def ring(self):
@@ -58,27 +66,16 @@ class TopologySpace:
         return self.closed_masks
 
     @property
-    def subbase(self):
-        return tuple(PointSet(self.spectrum, m) for m in self.subbase_masks)
-
-    @property
-    def base(self):
-        return tuple(PointSet(self.spectrum, m) for m in self.base_masks)
-
-    @property
     def closed_family(self):
         return tuple(PointSet(self.spectrum, m) for m in self.closed_masks)
 
     def is_closed(self, mask):
-        return mask in self._closed_set
-
-    def kernel_ideal_of(self, mask):
-        """Canonical (largest) ideal whose hull is the given subbase mask."""
-        return self._kernel_ideal[mask]
+        """Whether the mask is an up-set: it holds the closure of each point."""
+        return all(row & ~mask == 0 for j, row in enumerate(self.above) if mask >> j & 1)
 
     @property
     def is_discrete(self):
-        return len(self.closed_masks) == 1 << len(self.spectrum)
+        return all(row == 1 << j for j, row in enumerate(self.above))
 
     def __repr__(self):
         return (f"TopologySpace({self.spectrum.label}: |subbase|={len(self.subbase_masks)}, "
@@ -86,16 +83,12 @@ class TopologySpace:
 
 
 def generate_topology(spec, caps=DEFAULT_CAPS):
-    """The topology of a spectrum, built on first use and kept on it."""
+    """The topology of a spectrum, built on first use, caps included, and kept on it."""
     if len(spec) > caps.max_points:
         raise CapExceeded(f"{len(spec)} points exceed cap {caps.max_points}")
-    T = spec.topology
-    if T is None:
-        T = spec.topology = TopologySpace(spec, caps.max_closed_sets)
-    elif len(T.closed_masks) > caps.max_closed_sets:
-        raise CapExceeded(
-            f"closed family of {len(T.closed_masks)} sets exceeds cap {caps.max_closed_sets}")
-    return T
+    if spec.topology is None:
+        spec.topology = TopologySpace(spec, caps.max_closed_sets)
+    return spec.topology
 
 
 def closure_of(T, S):
@@ -128,8 +121,8 @@ def is_t0(T):
 
 def is_t1(T):
     """Every singleton must be closed."""
-    cls = T.above
-    for i in witness_point_indices(T):
+    cls, pos = T.above, T.spectrum.point_positions
+    for i in (pos[k] for k in T.spectrum.lattice.witness_indices if pos[k] is not None):
         if cls[i] != 1 << i:
             p = T.spectrum.points[i]
             return VerdictReport("t1", FAILS, witness={
@@ -137,13 +130,6 @@ def is_t1(T):
                 "closure": w_point_set(PointSet(T.spectrum, cls[i]))},
                 notes=f"{{{p.name}}} is not closed")
     return VerdictReport("t1", HOLDS)
-
-
-def witness_point_indices(T):
-    """Point indices in canonical witness order (largest ideals first)."""
-    pts = T.spectrum.points
-    return sorted(range(len(pts)),
-                  key=lambda i: (-len(pts[i].members), tuple(sorted(pts[i].members))))
 
 
 def irreducible_closed_sets(T):
@@ -162,73 +148,99 @@ def irreducible_closed_sets(T):
 
 def is_sober(T):
     """Every nonempty irreducible closed set has exactly one generic point."""
-    for ps, gens in irreducible_closed_sets(T):
+    irr = irreducible_closed_sets(T)
+    for ps, gens in irr:
         if len(gens) != 1:
             return VerdictReport("sober", FAILS, witness={
                 "set": w_point_set(ps),
                 "generic_points": [T.spectrum.points[i].name for i in gens]},
                 notes=f"irreducible closed set with {len(gens)} generic points")
-    return VerdictReport("sober", HOLDS,
-                         notes=f"{len(irreducible_closed_sets(T))} irreducible closed sets")
+    return VerdictReport("sober", HOLDS, notes=f"{len(irr)} irreducible closed sets")
+
+
+def components(T):
+    """Connected components as ascending masks: the point closures, merged
+    where they overlap.  Points i ⊆ j share j, and a shared point k of two
+    closures links i ⊆ k ⊇ j, so these are the classes of the comparability
+    graph, whose unions are exactly the clopen sets."""
+    comps = []
+    for row in T.above:
+        rest = [c for c in comps if not c & row]
+        comps = rest + [reduce(or_, (c for c in comps if c & row), row)]
+    return sorted(comps)
 
 
 def is_connected(T):
-    """No partition of the space into two nonempty closed sets."""
-    full = T.full_mask
-    for a in T.closed_masks:
-        comp = full & ~a
-        if a and comp and T.is_closed(comp):
-            return VerdictReport("connected", FAILS, witness={
-                "A": w_point_set(PointSet(T.spectrum, a)),
-                "B": w_point_set(PointSet(T.spectrum, comp))},
-                notes="clopen partition found")
+    """No partition of the space into two nonempty closed sets.
+
+    The witness A is the component with the smallest mask, the smallest
+    nonempty clopen set; B is the rest of the space.
+    """
+    comps = components(T)
+    if len(comps) > 1:
+        a = comps[0]
+        return VerdictReport("connected", FAILS, witness={
+            "A": w_point_set(PointSet(T.spectrum, a)),
+            "B": w_point_set(PointSet(T.spectrum, T.full_mask & ~a))},
+            notes="clopen partition found")
     return VerdictReport("connected", HOLDS)
 
 
 def is_quasi_compact(T):
     """Trivially holds on finite spaces; the note records the subbase pathway."""
-    pou = _has_pou(T)
+    pou = has_partition_of_unity(T.spectrum)
     note = "finite space, so quasi-compact outright; "
     note += ("partition-of-unity holds, so the Alexander-subbase argument applies"
              if pou else "partition-of-unity fails here, so only finiteness applies")
     return VerdictReport("quasi_compact", HOLDS, notes=note)
 
 
-def _has_pou(T):
-    from .spectra import has_partition_of_unity
-    return has_partition_of_unity(T.spectrum)
+def subbase_pair(T):
+    """The first pair (a, b) of canonical kernel ideals, in witness order,
+    whose hulls are nonempty, disjoint and cover the space, or None."""
+    spec = T.spectrum
+    # the lattice is in ascending order, so the largest ideal per hull wins
+    largest = dict(zip(spec.hulls, spec.lattice.ideals))
+    ordered = [(hull_mask(spec, a), a)
+               for a in witness_order(largest[m] for m in T.subbase_masks if m)]
+    for i, (a_mask, a) in enumerate(ordered):
+        for b_mask, b in ordered[i:]:
+            if a_mask & b_mask == 0 and a_mask | b_mask == T.full_mask:
+                return a, b
+    return None
 
 
 def strongly_disconnects(T, family="subbase"):
     """Two nonempty disjoint members of the chosen family covering the space.
 
-    Witness pairs are reported with the canonical kernel ideals behind the
-    sets; the pair is ordered by the canonical witness order on those ideals.
+    Subbase pairs are reported with the canonical kernel ideals behind the
+    sets, ordered by the canonical witness order on those ideals.  The base
+    is the whole closed family, so its pairs are the clopen partitions; the
+    first in (−size, mask) order is A = X minus the smallest component (the
+    larger mask on ties) and B = that component.
     """
     if family not in ("subbase", "base"):
         raise ValueError("family must be 'subbase' or 'base'")
-    masks = T.subbase_masks if family == "subbase" else T.base_masks
-    full = T.full_mask
+    spec = T.spectrum
     if family == "subbase":
-        order = witness_order([T.kernel_ideal_of(m) for m in masks if m])
-        ordered = [(hull_mask(T.spectrum, a), a) for a in order]
+        pair = subbase_pair(T)
+        size = {"members": len(T.subbase_masks)}
+        if pair:
+            masks = [hull_mask(spec, a) for a in pair]
+            ideals = {"a": w_ideal(pair[0]), "b": w_ideal(pair[1])}
     else:
-        ordered = [(m, None) for m in sorted(masks, key=lambda m: (-bin(m).count("1"), m))
-                   if m]
-    for i, (a_mask, a_ideal) in enumerate(ordered):
-        for b_mask, b_ideal in ordered[i:]:
-            if a_mask and b_mask and a_mask & b_mask == 0 and a_mask | b_mask == full:
-                witness = {"A": w_point_set(PointSet(T.spectrum, a_mask)),
-                           "B": w_point_set(PointSet(T.spectrum, b_mask))}
-                if a_ideal is not None:
-                    witness["a"] = w_ideal(a_ideal)
-                    witness["b"] = w_ideal(b_ideal)
-                return VerdictReport("strongly_disconnects", HOLDS, witness=witness,
-                                     notes=f"{family} pair covers the space disjointly")
-    return VerdictReport(
-        "strongly_disconnects", FAILS,
-        witness={"family": family, "members": len(masks)},
-        notes=f"no disjoint covering pair in the {family}")
+        comps = components(T)
+        pair, size, ideals = len(comps) > 1, {"components": len(comps)}, {}
+        if pair:
+            b = min(comps, key=lambda m: (bin(m).count("1"), -m))
+            masks = [T.full_mask & ~b, b]
+    if not pair:
+        return VerdictReport("strongly_disconnects", FAILS, witness={"family": family, **size},
+                             notes=f"no disjoint covering pair in the {family}")
+    return VerdictReport("strongly_disconnects", HOLDS, witness={
+        "A": w_point_set(PointSet(spec, masks[0])),
+        "B": w_point_set(PointSet(spec, masks[1])), **ideals},
+        notes=f"{family} pair covers the space disjointly")
 
 
 def extract_idempotent(T, pair):

@@ -15,7 +15,7 @@ import json
 import random
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from operator import or_
+from operator import and_
 from time import perf_counter
 
 import numpy as np
@@ -53,7 +53,6 @@ from .spectra import (
     check_mip,
     has_partition_of_unity,
     hull_mask,
-    image_of_kernel,
     kernel,
     kuratowski_union_axiom,
     make_spectrum,
@@ -69,6 +68,7 @@ from .topology import (
     is_t0,
     is_t1,
     strongly_disconnects,
+    subbase_pair,
 )
 
 DEFAULT_SUITE_EXPRS = ("Z2", "Z4", "Z6", "Z8", "Z12", "Z36",
@@ -382,12 +382,10 @@ def _run_t03(R, kind, caps):
 
 def _run_t04(R, kind, caps):
     lat, spec, _T = _ctx(R, kind, caps)
-    imk = image_of_kernel(spec)
-    imk_nonempty = {a.members for a in imk} - {frozenset(R.elements)}
-    pts = {p.members for p in spec.points}
-    side_eq = imk_nonempty == pts
-    side_closed = all(
-        (p.members & q.members) in pts for p in spec.points for q in spec.points)
+    pts = set(spec.lattice_indices)
+    side_eq = set(spec.kernel_image) - {len(lat) - 1} == pts
+    meet = lat.meet[np.ix_(spec.lattice_indices, spec.lattice_indices)]
+    side_closed = pts.issuperset(meet.ravel().tolist())
     note = ("nonempty-subset reading: k(∅)=R is excluded from the comparison "
             "since R is never a spectrum point")
     if side_eq == side_closed:
@@ -403,18 +401,17 @@ def _run_t04(R, kind, caps):
 def _run_t05(R, kind, caps):
     lat, spec, T = _ctx(R, kind, caps)
     kur_ok, _ = kuratowski_union_axiom(spec)
-    hk_family = {hull_mask(spec, c) for c in image_of_kernel(spec)}
-    base_ok = True
+    hk_family = {spec.hulls[i] for i in spec.kernel_image}
+    # {hk(S)} is a closed base iff every closed set is the meet of the hk sets
+    # holding it.  Every up-set is the meet of the sets X∖↓p for the points p
+    # outside it (Birkhoff), and those are closed, so it suffices to test them.
     witness = None
-    for c in T.closed_masks:
-        acc = T.full_mask
-        for d in hk_family:
-            if c & ~d == 0:
-                acc &= d
-        if acc != c:
-            base_ok = False
+    for j in range(len(spec)):
+        c = T.full_mask & ~sum(1 << i for i, row in enumerate(T.above) if row >> j & 1)
+        if reduce(and_, (d for d in hk_family if c & ~d == 0), T.full_mask) != c:
             witness = {"closed_set": w_point_set(PointSet(spec, c))}
             break
+    base_ok = witness is None
     if base_ok == kur_ok:
         return _hold("T05", notes=f"both sides {'true' if kur_ok else 'false'}")
     return _fail("T05", witness or {"closed_base": base_ok, "union_axiom": kur_ok},
@@ -465,7 +462,7 @@ def _run_t06(R, kind, caps):
         notes.append("regular-ring criterion checked")
     else:
         notes.append("ring not von Neumann regular; regular-ring part skipped")
-    if set(hulls) != {hull_mask(spec, c) for c in image_of_kernel(spec)}:
+    if set(hulls) != {hulls[i] for i in spec.kernel_image}:
         return _fail("T06", {"part": "C_h = C_hk"})
     return _hold("T06", notes="; ".join(notes))
 
@@ -525,11 +522,13 @@ def _run_t08(R, kind, caps):
 def _run_t09(R, kind, caps):
     lat, spec, T = _ctx(R, kind, caps)
     t0 = is_t0(T)
-    # independent route: some closed set separates each pair
+    # independent route: some closed set separates each pair.  The closure of
+    # i is the smallest closed set holding i, so one exists iff the closure
+    # of i excludes j or the closure of j excludes i.
     n = len(spec)
     for i in range(n):
         for j in range(i + 1, n):
-            if not any(bool(c >> i & 1) != bool(c >> j & 1) for c in T.closed_masks):
+            if T.above[i] >> j & 1 and T.above[j] >> i & 1:
                 return _fail("T09", {"p": w_ideal(spec.points[i]),
                                      "q": w_ideal(spec.points[j])},
                              notes="no closed set separates the pair")
@@ -592,10 +591,10 @@ def _run_t11(R, kind, caps):
     for p in witness_order(spec.points):
         hma = hull_mask(spec, p)
         i = spec.index[p]
-        cl = spec.full_mask  # the meet of the closed sets containing p
-        for c in T.closed_masks:
-            if c >> i & 1:
-                cl &= c
+        # the meet of the closed sets containing p: each is a meet of finite
+        # unions of subbasic sets, and such a union holding p has a member
+        # holding p, so the meet of the subbasic hulls holding p is the same
+        cl = reduce(and_, (c for c in T.subbase_masks if c >> i & 1), spec.full_mask)
         if cl != hma:
             return _fail("T11", {"point": w_ideal(p),
                                  "closure": w_point_set(PointSet(spec, cl)),
@@ -626,28 +625,16 @@ def _run_t12(R, kind, caps):
 
 def _run_t13(R, kind, caps):
     lat, spec, T = _ctx(R, kind, caps)
-    base = T.base_masks
-    base_set = set(base)
+    # Every base set is the union of the closures h(p) of its points, and ∩
+    # distributes over ∪, so ∪h(aᵢ) ∩ ∪h(bⱼ) = ∪h(aᵢ+bⱼ) holds for all base
+    # pairs iff h(p) ∩ h(q) = h(p+q) holds for all point pairs; the base, the
+    # unions of hulls, is then closed under ∩.
     sums, hulls, pts = lat.sum.tolist(), spec.hulls, spec.lattice_indices
-    n = len(spec)
-    below = [sum(1 << i for i in range(n) if T.above[i] >> j & 1) for j in range(n)]
-    # a base set is the union of h(p) over its minimal points p
-    decomp = [[j for j in range(n) if B & below[j] == 1 << j] for B in base]
-    # row[j][y] = ∪ h(p_j + p_k) over the minimal points p_k of the y-th base set
-    row = []
-    for a in pts:
-        h_sum = [hulls[sums[a][b]] for b in pts]
-        row.append([reduce(or_, [h_sum[k] for k in ks], 0) for ks in decomp])
-    for A, ks in zip(base, decomp):
-        rebuilt = row[ks[0]] if ks else [0] * len(base)
-        for j in ks[1:]:
-            rebuilt = [x | y for x, y in zip(rebuilt, row[j])]
-        for B, got in zip(base, rebuilt):
-            if (A & B) not in base_set:
-                return _fail("T13", {"part": "base closed under ∩", "A": A, "B": B})
-            if got != A & B:
+    for j, p in enumerate(pts):
+        for k, q in enumerate(pts):
+            if hulls[p] & hulls[q] != hulls[sums[p][q]]:
                 return _fail("T13", {"part": "∪h(aᵢ) ∩ ∪h(bⱼ) = ∪h(aᵢ+bⱼ)",
-                                     "A": A, "B": B})
+                                     "A": T.above[j], "B": T.above[k]})
     disconnected = not is_connected(T).holds
     sd = strongly_disconnects(T, "base")
     if disconnected != sd.holds:
@@ -667,12 +654,8 @@ def _hypotheses_pr1(R, spec, T, caps):
     for m in lat.maximal_ideals():
         if not spec.contains_ideal(m):
             return None, f"maximal ideal {m.name} not a spectrum point"
-    sd = strongly_disconnects(T, "subbase")
-    if not sd.holds:
-        return None, "subbase does not strongly disconnect the space"
-    a = next(p for p in lat.ideals if w_ideal(p) == sd.witness["a"])
-    b = next(p for p in lat.ideals if w_ideal(p) == sd.witness["b"])
-    return (a, b), ""
+    pair = subbase_pair(T)
+    return pair, "" if pair else "subbase does not strongly disconnect the space"
 
 
 def _run_t14(R, kind, caps):
@@ -814,12 +797,8 @@ def _run_t18(R, kind, caps):
     for v, bits in _gated_views(views, kind, caps):
         other = make_spectrum(v.hom.target, kind, caps)
         T_other = generate_topology(other, caps)
-        image = sum(1 << i for i in set(bits))
-        seen = set()  # closed sets that meet the image alike pull back alike
-        for C in T.closed_masks:
-            if C & image in seen:
-                continue
-            seen.add(C & image)
+        # continuity: the subbasic closed sets pull back to closed sets
+        for C in T.subbase_masks:
             if not T_other.is_closed(_pull_back(C, bits)):
                 return _fail("T18", {"hom": v.hom.label,
                                      "closed_set": w_point_set(PointSet(spec, C))},

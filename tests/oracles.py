@@ -88,6 +88,22 @@ def up_set_family(spec):
     return fam
 
 
+def kernel_image_closure(spec):
+    """im(k) as member sets: the points' member sets closed under pairwise
+    intersection, plus R's elements from the empty subset."""
+    seen = {frozenset(p.members) for p in spec.points}
+    frontier = list(seen)
+    while frontier:
+        m = frontier.pop()
+        for other in list(seen):
+            c = m & other
+            if c not in seen:
+                seen.add(c)
+                frontier.append(c)
+    seen.add(frozenset(range(spec.ring.size)))
+    return seen
+
+
 def brute_force_radical_members(R, members):
     out = set()
     for x in range(R.size):

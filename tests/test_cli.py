@@ -45,8 +45,8 @@ class TestExitCodes:
         assert run_cli("ideals", "--ring", "Z12", "--max-ideals", "2") == 3
 
     def test_max_closed_sets_override_is_3(self, capsys):
-        assert run_cli("verify", "--ring", "Z6xZ6", "--kind", "prp",
-                       "--check", "T09", "--max-closed-sets", "10") == 3
+        assert run_cli("topology", "--ring", "Z6xZ6", "--kind", "prp",
+                       "--max-closed-sets", "10") == 3
 
 
 class TestOutputs:

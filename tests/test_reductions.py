@@ -1,0 +1,395 @@
+"""The reduced check bodies against the closed-family scans they replace.
+
+Each check that once quantified over the enumerated closed family now reads
+the point closures ``TopologySpace.above``, the subbase or the kernel-image
+index table.  The scans are kept here as references, run over the up-sets
+from ``oracles.up_set_family`` and the kernel image from
+``oracles.kernel_image_closure``, and compared, status and witness, with the
+library on every suite space of at most 16 points and on every space of
+``Z2xZ2xZ2xZ2``.
+"""
+
+import hashlib
+from functools import lru_cache
+
+import pytest
+
+from conftest import get_ring
+from idealspaces import (
+    ALL_CHECK_IDS,
+    ALL_KINDS,
+    DEFAULT_CAPS,
+    DEFAULT_SUITE_EXPRS,
+    Caps,
+    CapExceeded,
+    SuiteConfig,
+    check_mip,
+    enumerate_ideals,
+    generate_topology,
+    image_of_kernel,
+    irreducible_closed_sets,
+    is_connected,
+    is_t0,
+    is_t1,
+    kuratowski_union_axiom,
+    make_spectrum,
+    run_check,
+    run_suite,
+    strongly_disconnects,
+)
+from idealspaces.reports import FAILS, HOLDS, VACUOUS, VerdictReport, w_ideal, w_point_set
+from idealspaces.rings import Ideal
+from idealspaces.spectra import PointSet
+from idealspaces.topology import TopologySpace
+from idealspaces.verify import _localization_views, _quotient_views
+from oracles import kernel_image_closure, up_set_family
+
+
+def _order(ideals):
+    return sorted(ideals, key=lambda a: (-len(a.members), sorted(a.members)))
+
+
+def _hull(spec, members):
+    return sum(1 << j for j, p in enumerate(spec.points) if members <= p.members)
+
+
+def _smallest_containing(lat, elements):
+    """Member set of the smallest ideal of the lattice holding the elements."""
+    return min((a.members for a in lat.ideals if a.members >= elements), key=len)
+
+
+def _popcount(m):
+    return bin(m).count("1")
+
+
+@lru_cache(maxsize=None)
+def _up_sets(spec):
+    return tuple(sorted(up_set_family(spec)))
+
+
+def _spaces():
+    specs = [make_spectrum(get_ring(e), k) for e in DEFAULT_SUITE_EXPRS for k in ALL_KINDS]
+    specs = [s for s in specs if 0 < len(s) <= 16]
+    specs += [make_spectrum(get_ring("Z2xZ2xZ2xZ2"), k) for k in ALL_KINDS]
+    return [s for s in specs if len(s)]
+
+
+# ---------------------------------------------------------------------------
+# the closed-family scans
+
+
+def _scan_is_connected(spec):
+    fam = _up_sets(spec)
+    closed = set(fam)
+    for a in fam:
+        comp = spec.full_mask & ~a
+        if a and comp and comp in closed:
+            return VerdictReport("connected", FAILS, witness={
+                "A": w_point_set(PointSet(spec, a)),
+                "B": w_point_set(PointSet(spec, comp))},
+                notes="clopen partition found")
+    return VerdictReport("connected", HOLDS)
+
+
+def _scan_base_disconnects(spec):
+    """The first disjoint covering pair of up-sets in (-size, mask) order."""
+    ordered = sorted((m for m in _up_sets(spec) if m), key=lambda m: (-_popcount(m), m))
+    for i, a in enumerate(ordered):
+        for b in ordered[i:]:
+            if a & b == 0 and a | b == spec.full_mask:
+                return VerdictReport(
+                    "strongly_disconnects", HOLDS,
+                    witness={"A": w_point_set(PointSet(spec, a)),
+                             "B": w_point_set(PointSet(spec, b))},
+                    notes="base pair covers the space disjointly")
+    return None
+
+
+def _scan_t05(spec):
+    kur_ok, _ = kuratowski_union_axiom(spec)
+    hk_family = {_hull(spec, c) for c in kernel_image_closure(spec)}
+    for c in _up_sets(spec):
+        acc = spec.full_mask
+        for d in hk_family:
+            if c & ~d == 0:
+                acc &= d
+        if acc != c:
+            if kur_ok:
+                return FAILS, {"closed_set": w_point_set(PointSet(spec, c))}
+            return HOLDS, None
+    return (HOLDS, None) if kur_ok else (FAILS, {"closed_base": True, "union_axiom": False})
+
+
+def _scan_t09(spec, T):
+    fam = _up_sets(spec)
+    n = len(spec)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if not any(bool(c >> i & 1) != bool(c >> j & 1) for c in fam):
+                return FAILS, {"p": w_ideal(spec.points[i]), "q": w_ideal(spec.points[j])}
+    t0 = is_t0(T)
+    return (HOLDS, None) if t0.holds else (FAILS, t0.witness)
+
+
+def _scan_t11(spec, T):
+    irr = {ps.mask for ps, _g in irreducible_closed_sets(T)}
+    for p in _order(spec.points):
+        i = spec.index[p]
+        hma = _hull(spec, p.members)
+        cl = spec.full_mask
+        for c in _up_sets(spec):
+            if c >> i & 1:
+                cl &= c
+        if cl != hma:
+            return FAILS, {"point": w_ideal(p),
+                           "closure": w_point_set(PointSet(spec, cl)),
+                           "hull": w_point_set(PointSet(spec, hma))}
+        if hma not in irr:
+            return FAILS, {"point": w_ideal(p), "part": "hull not irreducible"}
+    return HOLDS, None
+
+
+def _scan_t13(spec):
+    """The base-pair law over every pair of up-sets, each decomposed into the
+    closures of its minimal points, then connectedness against the base."""
+    lat = spec.lattice
+    base = _up_sets(spec)
+    base_set = set(base)
+    n = len(spec)
+    pts = list(spec.points)
+    above = [_hull(spec, p.members) for p in pts]
+    below = [sum(1 << i for i in range(n) if above[i] >> j & 1) for j in range(n)]
+    decomp = [[j for j in range(n) if B & below[j] == 1 << j] for B in base]
+    sum_hulls = [[_hull(spec, _smallest_containing(lat, p.members | q.members)) for q in pts]
+                 for p in pts]
+    for A, ka in zip(base, decomp):
+        for B, kb in zip(base, decomp):
+            if A & B not in base_set:
+                return FAILS, {"part": "base closed under ∩", "A": A, "B": B}
+            got = 0
+            for j in ka:
+                for k in kb:
+                    got |= sum_hulls[j][k]
+            if got != A & B:
+                return FAILS, {"part": "∪h(aᵢ) ∩ ∪h(bⱼ) = ∪h(aᵢ+bⱼ)", "A": A, "B": B}
+    disconnected = _scan_is_connected(spec).fails
+    sd = _scan_base_disconnects(spec)
+    if disconnected != (sd is not None):
+        return FAILS, None
+    return HOLDS, None
+
+
+def _scan_t18(R, kind, spec):
+    lat = enumerate_ideals(R)
+    views = _quotient_views(R, DEFAULT_CAPS) + _localization_views(R, DEFAULT_CAPS)
+    checked = 0
+    for v in views:
+        bits = v.points(kind, DEFAULT_CAPS)
+        if bits is None:
+            continue
+        other = make_spectrum(v.hom.target, kind)
+
+        def pull(mask):
+            return sum(1 << j for j, b in enumerate(bits) if mask >> b & 1)
+
+        other_closed = set(_up_sets(other))
+        for C in _up_sets(spec):
+            if pull(C) not in other_closed:
+                return FAILS, {"hom": v.hom.label,
+                               "closed_set": w_point_set(PointSet(spec, C))}
+        for a in lat.ideals:
+            image = {v.hom.map[x] for x in a.members}
+            pushed = _smallest_containing(enumerate_ideals(v.hom.target), image)
+            if pull(_hull(spec, a.members)) != _hull(other, pushed):
+                return FAILS, {"hom": v.hom.label, "a": w_ideal(a),
+                               "part": "(f*)⁻¹(h(a)) = h(⟨f(a)⟩)"}
+        checked += 1
+    return (HOLDS if checked else VACUOUS), None
+
+
+# ---------------------------------------------------------------------------
+# the frozenset kernel-image bodies
+
+
+def _frozenset_check_mip(spec, imk):
+    imk = _order(imk)
+    points = _order(spec.points)
+    for a in imk:
+        for b in imk:
+            meet = a.members & b.members
+            for s in points:
+                if meet <= s.members and not a.members <= s.members \
+                        and not b.members <= s.members:
+                    return VerdictReport(
+                        "mip", FAILS,
+                        witness={"a": w_ideal(a), "b": w_ideal(b), "s": w_ideal(s)},
+                        notes=f"{a.name} ∩ {b.name} ⊆ {s.name} but neither factor is contained")
+    return VerdictReport("mip", HOLDS, notes=f"{len(imk)} kernel-image ideals checked")
+
+
+def _frozenset_union_axiom(spec, imk):
+    imk = _order(imk)
+    for a in imk:
+        for b in imk:
+            if _hull(spec, a.members & b.members) != \
+                    _hull(spec, a.members) | _hull(spec, b.members):
+                return False, (a.members, b.members)
+    return True, None
+
+
+def _kernel_rings():
+    """The suite rings and every canonical quotient and localization of them."""
+    out = []
+    for expr in DEFAULT_SUITE_EXPRS:
+        R = get_ring(expr)
+        out.append(R)
+        views = _quotient_views(R, DEFAULT_CAPS) + _localization_views(R, DEFAULT_CAPS)
+        out += [v.hom.target for v in views]
+    return out
+
+
+class TestKernelImage:
+    @pytest.fixture(scope="class")
+    def spectra(self):
+        return [make_spectrum(R, k) for R in _kernel_rings() for k in ALL_KINDS]
+
+    def test_index_table_matches_the_closure(self, spectra):
+        assert len(spectra) > 1000
+        for spec in spectra:
+            got = [spec.lattice.ideals[i].members for i in spec.kernel_image]
+            assert set(got) == kernel_image_closure(spec), spec.label
+            assert len(got) == len(set(got)), spec.label
+            expected = sorted(kernel_image_closure(spec), key=lambda m: (len(m), sorted(m)))
+            assert [a.members for a in image_of_kernel(spec)] == expected, spec.label
+
+    def test_mip_and_union_axiom_match_the_frozenset_bodies(self, spectra):
+        outcomes = set()
+        for spec in spectra:
+            imk = [Ideal(spec.ring, m) for m in kernel_image_closure(spec)]
+            mip = check_mip(spec)
+            assert mip == _frozenset_check_mip(spec, imk), spec.label
+            ok, pair = kuratowski_union_axiom(spec)
+            got = (ok, None if pair is None else tuple(a.members for a in pair))
+            assert got == _frozenset_union_axiom(spec, imk), spec.label
+            outcomes.add((mip.status, ok))
+        assert outcomes == {(HOLDS, True), (FAILS, False)}
+
+    def test_t04_sides_match_the_closure(self, spectra):
+        outcomes = set()
+        for spec in spectra:
+            if not len(spec):
+                continue
+            pts = {p.members for p in spec.points}
+            side_eq = kernel_image_closure(spec) - {frozenset(spec.ring.elements)} == pts
+            side_closed = all(p & q in pts for p in pts for q in pts)
+            assert side_eq == side_closed, spec.label
+            rep = run_check("T04", spec.ring, spec.kind)
+            assert rep.status == HOLDS, spec.label
+            assert rep.notes.startswith(f"both sides {'true' if side_eq else 'false'};")
+            outcomes.add(side_eq)
+        assert outcomes == {True, False}
+
+
+class TestClosedFamilyReference:
+    @pytest.fixture(scope="class")
+    def spaces(self):
+        return [(s, generate_topology(s)) for s in _spaces()]
+
+    def test_connectedness(self, spaces):
+        outcomes = set()
+        for spec, T in spaces:
+            conn = is_connected(T)
+            assert conn == _scan_is_connected(spec), spec.label
+            sd = strongly_disconnects(T, "base")
+            ref = _scan_base_disconnects(spec)
+            if ref is None:
+                assert sd.fails and sd.witness == {"family": "base", "components": 1}
+            else:
+                assert sd == ref, spec.label
+            outcomes.add((conn.status, sd.status))
+        assert outcomes == {(HOLDS, FAILS), (FAILS, HOLDS)}
+
+    def test_closedness_and_discreteness(self, spaces):
+        outcomes = set()
+        for spec, T in spaces:
+            fam = set(_up_sets(spec))
+            if len(spec) <= 12:
+                assert [T.is_closed(m) for m in range(1 << len(spec))] == \
+                    [m in fam for m in range(1 << len(spec))], spec.label
+            assert T.is_discrete == (len(fam) == 1 << len(spec)), spec.label
+            outcomes.add(T.is_discrete)
+        assert outcomes == {True, False}
+
+    def test_t1_witness_is_the_first_open_point(self, spaces):
+        for spec, T in spaces:
+            open_points = [p for p in _order(spec.points)
+                           if _hull(spec, p.members) != 1 << spec.index[p]]
+            rep = is_t1(T)
+            if open_points:
+                assert rep.witness["point"] == w_ideal(open_points[0]), spec.label
+            else:
+                assert rep.holds, spec.label
+
+    def test_closed_family_cap_is_exact(self, spaces):
+        spec = next(s for s, _T in spaces if len(s) > 10)
+        n = len(_up_sets(spec))
+        assert TopologySpace(spec, n).closed_masks == _up_sets(spec)
+        with pytest.raises(CapExceeded, match=rf"^closed base exceeds cap {n - 1}$"):
+            TopologySpace(spec, n - 1).closed_masks
+
+    def test_check_bodies(self, spaces):
+        assert len(spaces) > 100
+        for spec, T in spaces:
+            R, kind = spec.ring, spec.kind
+            refs = {"T05": _scan_t05(spec), "T09": _scan_t09(spec, T),
+                    "T11": _scan_t11(spec, T), "T13": _scan_t13(spec),
+                    "T18": _scan_t18(R, kind, spec)}
+            for cid, (status, witness) in refs.items():
+                rep = run_check(cid, R, kind)
+                assert (rep.status, rep.witness) == (status, witness), (cid, spec.label)
+
+
+def test_no_check_reads_the_closed_family():
+    """With a closed-family cap every read would exceed, the registry gives
+    the records it gives under the default caps."""
+    exprs = ("Z12", "Z2xZ2xZ2", "Z6xZ6")
+    records = run_suite(SuiteConfig(ring_exprs=exprs, caps=Caps(max_closed_sets=1)))
+    assert records == run_suite(SuiteConfig(ring_exprs=exprs))
+
+
+class TestRaisedCaps:
+    """Raised point caps, run on the reduced bodies."""
+
+    # sha256 of the run_suite JSON lines under RAISED, computed with the
+    # closed-family scans before they were reduced; see the test's docstring
+    RAISED = Caps(max_points=64, max_closed_sets=10**6)
+    DIGESTS = {
+        "Z4xZ4xZ4": "1ac664a12dcb283af8f639db6605044bc56bc45a9addc570346a70688bd05795",
+        "Z2xZ2xZ2xZ2xZ2": "33ed119c6baa7cdb04d41fabb78258280831f6d0e5911877085e7bf107d47fc8",
+    }
+
+    @pytest.mark.parametrize("expr", sorted(DIGESTS))
+    def test_reports_match_the_scan_digests(self, expr):
+        """Every record of the full registry equals the closed-family scans'.
+
+        The scans take about two minutes on Z2xZ2xZ2xZ2xZ2.  To regenerate a
+        digest, check out a tree whose checks still scan ``closed_masks`` and
+        run from its root
+
+            PYTHONPATH=src python -c "import hashlib, sys; from idealspaces import *; \\
+            print(hashlib.sha256(''.join(r.to_json() + '\\n' for r in run_suite(SuiteConfig( \\
+            ring_exprs=(sys.argv[1],), caps=Caps(max_points=64, max_closed_sets=10**6)))) \\
+            .encode()).hexdigest())" Z2xZ2xZ2xZ2xZ2
+        """
+        records = run_suite(SuiteConfig(ring_exprs=(expr,), caps=self.RAISED))
+        assert not [r for r in records if r.status == "error"]
+        text = "".join(r.to_json() + "\n" for r in records)
+        assert hashlib.sha256(text.encode()).hexdigest() == self.DIGESTS[expr]
+
+    def test_sixty_three_points_run_without_errors(self):
+        # 63 points, whose closed family has M(6) - 1 = 7,828,353 up-sets
+        records = run_suite(SuiteConfig(ring_exprs=("Z2xZ2xZ2xZ2xZ2xZ2",),
+                                        caps=Caps(max_points=64)))
+        assert len(records) == 310
+        assert not [r for r in records if r.status == "error"]
+        assert {r.id for r in records} == set(ALL_CHECK_IDS)

@@ -73,12 +73,9 @@ class TestFamilies:
 
     def test_cap_exceeded(self):
         spec = make_spectrum(parse_ring_expression("Z6xZ6"), "prp")  # fresh ring
+        T = generate_topology(spec, Caps(max_closed_sets=10))
         with pytest.raises(CapExceeded, match=r"^closed base exceeds cap 10$"):
-            generate_topology(spec, Caps(max_closed_sets=10))
-        n_closed = len(generate_topology(spec).closed_masks)
-        with pytest.raises(CapExceeded,
-                           match=rf"^closed family of {n_closed} sets exceeds cap 10$"):
-            generate_topology(spec, Caps(max_closed_sets=10))
+            T.closed_masks
         with pytest.raises(CapExceeded, match=r"^15 points exceed cap 4$"):
             generate_topology(spec, Caps(max_points=4))
 
