@@ -36,10 +36,6 @@ class VerdictReport:
         return self.status == FAILS
 
 
-def w_element(R, x):
-    return {"element": R.name(x), "index": int(x)}
-
-
 def w_ideal(a):
     return {"ideal": a.name, "elements": sorted(int(x) for x in a.members)}
 
@@ -51,7 +47,3 @@ def w_ideals(ideals):
 def w_point_set(ps):
     return {"points": [p.name for p in ps.ideals],
             "indices": sorted(ps.indices)}
-
-
-def w_hom(f):
-    return {"hom": f.label, "map": [int(v) for v in f.map]}

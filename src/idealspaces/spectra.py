@@ -243,10 +243,6 @@ def kuratowski_union_axiom(spec):
     return True, None
 
 
-def ideal_intersect_members(R, a, b):
-    return _trusted_ideal(R, a.members & b.members)  # a meet of ideals
-
-
 def has_partition_of_unity(spec):
     """True iff no proper ideal has an empty hull."""
     lat = enumerate_ideals(spec.ring)

@@ -106,8 +106,8 @@ def test_byte_identical_across_hash_seeds():
 
 
 # sha256 and length of the default report's stdout; see the test's docstring
-DEFAULT_REPORT_SHA256 = "3371f73ee18d7120d92ccae7b79bfe1dfbcfc3202849687d22c967740c738af9"
-DEFAULT_REPORT_BYTES = 855_307
+DEFAULT_REPORT_SHA256 = "dc581f5f378c803b3828147328e96329b875904c0c733be16427ea59c553eedf"
+DEFAULT_REPORT_BYTES = 855_323
 
 
 def test_default_report_matches_its_golden_digest():

@@ -25,7 +25,6 @@ from idealspaces import (
 from idealspaces.rings import _span
 from idealspaces.spectra import (
     PointSet,
-    ideal_intersect_members,
     image_of_kernel,
     kernel,
     make_spectrum,
@@ -203,8 +202,7 @@ class TestTrustedBuilders:
             for a in lat.ideals:
                 built.append(radical(a))
                 for b in lat.ideals:
-                    built += [ideal_sum(a, b), ideal_intersect(a, b), ideal_product(a, b),
-                              ideal_intersect_members(R, a, b)]
+                    built += [ideal_sum(a, b), ideal_intersect(a, b), ideal_product(a, b)]
             for kind in ALL_KINDS:
                 spec = make_spectrum(R, kind)
                 built += image_of_kernel(spec)

@@ -1,7 +1,7 @@
 """The shared tables that the check bodies read, each against an independent
 route: the lattice arithmetic tables, the kind rows, the spectrum hull table,
-the canonical hom views, and T01's vectorised laws against the scalar loops
-they replace.
+the canonical hom views, and T01's reduced laws against the definitional
+scalar loops.
 """
 
 import gc
@@ -33,7 +33,7 @@ from idealspaces import (
 )
 from idealspaces.reports import FAILS, HOLDS, VerdictReport, w_ideal
 from idealspaces.spectra import hull_mask
-from idealspaces.verify import _localization_views, _quotient_views, _subset_samples
+from idealspaces.verify import _localization_views, _quotient_views
 from oracles import (
     brute_force_ideal_sets,
     brute_force_is_prime,
@@ -42,6 +42,16 @@ from oracles import (
 )
 
 SAMPLE_SEED = 0x1DEA15
+
+
+def _subset_samples(n_points, count):
+    """All point subsets when there are at most ``count``, else a seeded
+    sample of them: the reference's quantifier domain on wide spectra."""
+    rng = random.Random(SAMPLE_SEED)
+    total = 1 << n_points
+    if total <= count:
+        return list(range(total))
+    return sorted({rng.randrange(total) for _ in range(count)})
 
 
 def _instances(rings):
@@ -265,10 +275,18 @@ def _scalar_t01(R, kind):
     return VerdictReport("T01", HOLDS, notes="; ".join(notes))
 
 
+def _t01_notes(R):
+    return (f"sum identity exhaustive over 2^{len(enumerate_ideals(R))} sublists; "
+            "Galois exhaustive over all subsets")
+
+
 class TestT01Vectorised:
     def test_matches_the_scalar_loops_on_the_suite(self, suite_rings):
+        # the scalar loops sample wide spectra, the reduced body is exhaustive
         for R, kind, _spec in _instances(suite_rings):
-            assert run_check("T01", R, kind) == _scalar_t01(R, kind), (R.label, kind)
+            got, want = run_check("T01", R, kind), _scalar_t01(R, kind)
+            assert (got.status, got.witness) == (want.status, want.witness), (R.label, kind)
+            assert got.notes == _t01_notes(R)
 
     def test_forced_failures_give_the_scalar_witness(self, monkeypatch):
         # flip each hull-table bit in turn, on fresh rings so no patched table
@@ -290,6 +308,42 @@ class TestT01Vectorised:
                     assert got == want, (expr, kind, i, j)
                     failures += got.fails
         assert failures > 0
+
+    def test_wrong_meet_entries_fail_the_glb_law(self, monkeypatch):
+        # replace one meet entry by each other ideal in turn, on fresh rings
+        # with every table cached first; an entry with the true meet's hull is
+        # invisible to the hull laws, so only the glb law can catch it
+        hidden = 0
+        for expr, kind in (("Z8", "spc"), ("Z12", "prp"), ("Z2xZ4", "max")):
+            R = parse_ring_expression(expr)
+            assert run_check("T01", R, kind).holds
+            lat, spec = enumerate_ideals(R), make_spectrum(R, kind)
+            true_meet = lat.meet
+            for a in range(len(lat)):
+                for b in range(len(lat)):
+                    for w in range(len(lat)):
+                        if w == true_meet[a, b]:
+                            continue
+                        patched = true_meet.copy()
+                        patched[a, b] = w
+                        with monkeypatch.context() as mp:
+                            mp.setitem(lat.__dict__, "meet", patched)
+                            got = run_check("T01", R, kind)
+                        assert got.fails, (expr, kind, a, b, w)
+                        if spec.hulls[w] == spec.hulls[true_meet[a, b]]:
+                            assert got.witness["part"] == "k(∪)=∩k", (expr, kind, a, b, w)
+                            hidden += 1
+        assert hidden > 0
+
+    def test_no_note_says_sampled(self, suite_rings):
+        caps = Caps(max_points=64)
+        wide = [parse_ring_expression(e, caps) for e in ("Z2xZ2xZ2xZ2xZ2", "Z4xZ4xZ4")]
+        for R in (*suite_rings, *wide):
+            for kind in ALL_KINDS:
+                rep = run_check("T01", R, kind, caps)
+                assert "sampled" not in rep.notes, (R.label, kind)
+                if rep.holds:
+                    assert rep.notes == _t01_notes(R)
 
     def test_raised_caps_on_a_ring_wider_than_a_machine_word(self):
         caps = Caps(max_ring_size=72, max_hom_product=5184)
