@@ -61,7 +61,6 @@ from .spectra import (
     Spectrum,
     check_contraction_property,
     check_mip,
-    empty_point_set,
     full_point_set,
     has_partition_of_unity,
     hull,

@@ -212,9 +212,7 @@ def enumerate_ideals(R, caps=DEFAULT_CAPS):
     """
     cached = R._derived.get("lattice")
     if cached is not None:
-        if len(cached) > caps.max_ideals:
-            raise CapExceeded(f"{len(cached)} ideals exceed cap {caps.max_ideals}")
-        return cached
+        return _check_ideal_cap(cached, caps)
     seen = set(R.principal)
     if len(seen) > caps.max_ideals:
         raise CapExceeded(f"ideal count exceeds cap {caps.max_ideals}")
@@ -236,6 +234,13 @@ def enumerate_ideals(R, caps=DEFAULT_CAPS):
             leq[i, j] = a <= b
     lattice = IdealLattice(R, ideals, leq)
     R._derived["lattice"] = lattice
+    return lattice
+
+
+def _check_ideal_cap(lattice, caps):
+    """The lattice, or CapExceeded when it holds more ideals than the caps."""
+    if len(lattice) > caps.max_ideals:
+        raise CapExceeded(f"{len(lattice)} ideals exceed cap {caps.max_ideals}")
     return lattice
 
 

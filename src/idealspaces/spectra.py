@@ -19,6 +19,7 @@ from .caps import DEFAULT_CAPS
 from .errors import MixedRings
 from .ideals import (
     SpectrumKind,
+    _check_ideal_cap,
     contraction,
     enumerate_ideals,
     witness_order,
@@ -30,10 +31,12 @@ from .rings import RingHom, _trusted_ideal, unit_ideal
 class Spectrum:
     """Ideals of one kind, in canonical order, with R excluded.
 
-    ``lattice_indices[j]`` is the lattice index of point j.  Two lazy
-    tables over the ring's lattice depend on the points alone, not on which
-    check asks, so each is built once per (ring, kind) and every check on
-    this spectrum reads it:
+    Bit i of ``row``, the lattice's kind row without R, is set iff lattice
+    ideal i is a point; ``lattice_indices`` lists those i in canonical order
+    and ``witness_indices`` in witness order.  Two lazy tables over the
+    ring's lattice depend on the points alone, not on which check asks, so
+    each is built once per (ring, kind) and every check on this spectrum
+    reads it:
 
     - ``hulls[i]`` is the point mask of h(a_i) for the i-th lattice ideal
       a_i: bit j is set iff a_i ⊆ points[j], read off the lattice's
@@ -49,14 +52,16 @@ class Spectrum:
     ``generate_topology`` has built it.
     """
 
-    def __init__(self, ring, kind, points, lattice=None):
-        self.ring = ring
+    def __init__(self, lattice, kind):
+        self.lattice = lattice
+        self.ring = lattice.ring
         self.kind = SpectrumKind(kind)
-        self.points = tuple(points)
+        top = len(lattice) - 1  # R, the only ideal that is never a point
+        self.row = lattice.kind_rows[self.kind] & ~(1 << top)
+        self.lattice_indices = tuple(i for i in range(top) if self.row >> i & 1)
+        self.points = tuple(lattice.ideals[i] for i in self.lattice_indices)
         self.index = {p: i for i, p in enumerate(self.points)}
-        self.label = f"{self.kind.title}({ring.label})"
-        self.lattice = lattice if lattice is not None else enumerate_ideals(ring)
-        self.lattice_indices = tuple(self.lattice.index(p) for p in self.points)
+        self.label = f"{self.kind.title}({self.ring.label})"
         self.topology = None
 
     def __len__(self):
@@ -102,6 +107,10 @@ class Spectrum:
         return tuple(i for i in self.lattice.witness_indices if i in out)
 
     @cached_property
+    def witness_indices(self):
+        return tuple(i for i in self.lattice.witness_indices if self.row >> i & 1)
+
+    @cached_property
     def point_positions(self):
         """``point_positions[i]`` is the point index of lattice ideal i, or None."""
         pos = [None] * len(self.lattice)
@@ -111,15 +120,14 @@ class Spectrum:
 
 
 def make_spectrum(R, kind, caps=DEFAULT_CAPS):
+    """The spectrum of one kind, built once per ring; the caps hold on reuse too."""
     kind = SpectrumKind(kind)
     per_ring = R._derived.setdefault("spectra", {})
-    if kind in per_ring:
-        return per_ring[kind]
-    lat = enumerate_ideals(R, caps)
-    row = lat.kind_rows[kind]
-    points = [a for i, a in enumerate(lat.proper) if row >> i & 1]
-    spec = Spectrum(R, kind, points, lat)
-    per_ring[kind] = spec
+    spec = per_ring.get(kind)
+    if spec is None:
+        spec = per_ring[kind] = Spectrum(enumerate_ideals(R, caps), kind)
+    else:
+        _check_ideal_cap(spec.lattice, caps)
     return spec
 
 
@@ -152,9 +160,6 @@ class PointSet:
     def union(self, other):
         return PointSet(self.spectrum, self.mask | other.mask)
 
-    def intersect(self, other):
-        return PointSet(self.spectrum, self.mask & other.mask)
-
     def __le__(self, other):
         return self.mask & ~other.mask == 0
 
@@ -164,10 +169,6 @@ class PointSet:
 
 def full_point_set(spec):
     return PointSet(spec, spec.full_mask)
-
-
-def empty_point_set(spec):
-    return PointSet(spec, 0)
 
 
 def hull(spec, a):
@@ -203,22 +204,32 @@ def x_radical(spec, a):
     return kernel(hull(spec, a))
 
 
+def _meet_inclusion_failure(spec, domain):
+    """The first lattice-index triple (a, b, s) with a ∩ b ⊆ s, a ⊄ s and
+    b ⊄ s, in the order of ``domain`` for a and b and then of the points in
+    witness order for s, or None; read off the inclusion and meet tables."""
+    lat, domain, points = spec.lattice, list(domain), list(spec.witness_indices)
+    inside = lat.leq[:, points]  # inside[i, s]: a_i ⊆ the s-th point
+    out = ~inside[domain]
+    bad = inside[lat.meet[np.ix_(domain, domain)]] & out[:, None, :] & out[None, :, :]
+    if not bad.any():
+        return None
+    i, j, k = np.unravel_index(int(bad.argmax()), bad.shape)
+    return domain[i], domain[j], points[k]
+
+
 def check_mip(spec):
     """Meet-inclusion property over the kernel image.
 
     Quantifies a, b over image_of_kernel (R included, vacuously harmless) and
     s over spectrum points: a cap b subseteq s must force a subseteq s or
     b subseteq s.  Fails with the canonical witness triple (a, b, s), the
-    first in witness order, read off the lattice's inclusion and meet tables.
+    first in witness order.
     """
-    lat, imk = spec.lattice, list(spec.kernel_image)
-    points = [i for i in lat.witness_indices if spec.point_positions[i] is not None]
-    inside = lat.leq[:, points]  # inside[i, s]: a_i ⊆ the s-th point
-    out = ~inside[imk]
-    bad = inside[lat.meet[np.ix_(imk, imk)]] & out[:, None, :] & out[None, :, :]
-    if bad.any():
-        i, j, k = np.unravel_index(int(bad.argmax()), bad.shape)
-        a, b, s = lat.ideals[imk[i]], lat.ideals[imk[j]], lat.ideals[points[k]]
+    imk = spec.kernel_image
+    triple = _meet_inclusion_failure(spec, imk)
+    if triple:
+        a, b, s = (spec.lattice.ideals[i] for i in triple)
         return VerdictReport(
             "mip", FAILS,
             witness={"a": w_ideal(a), "b": w_ideal(b), "s": w_ideal(s)},
@@ -245,8 +256,7 @@ def kuratowski_union_axiom(spec):
 
 def has_partition_of_unity(spec):
     """True iff no proper ideal has an empty hull."""
-    lat = enumerate_ideals(spec.ring)
-    return all(hull_mask(spec, a) != 0 for a in lat.proper)
+    return all(spec.hulls[:-1])
 
 
 def check_contraction_property(kind, f: RingHom, caps=DEFAULT_CAPS):

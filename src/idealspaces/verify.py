@@ -5,8 +5,9 @@ spaces on a concrete (ring, kind) instance and returns a VerdictReport.
 Equivalence-form statements compute both sides independently; implication
 forms track vacuity.  Instances whose spectrum is empty report ``vacuous``.
 
-Witness selection is deterministic: ideals are searched largest-first (see
-``witness_order``), so identical configurations produce identical reports.
+Witness selection is deterministic: ideals are searched largest-first, in
+``witness_indices`` order, so identical configurations produce identical
+reports.  Point membership is a bit of the spectrum's kind row.
 """
 
 from __future__ import annotations
@@ -24,11 +25,9 @@ from .errors import IdealSpacesError
 from .ideals import (
     ALL_KINDS,
     SpectrumKind,
-    classify,
     enumerate_ideals,
     generate_ideal,
     jacobson_radical,
-    witness_order,
 )
 from .reports import (
     FAILS,
@@ -45,10 +44,10 @@ from .rings import (
     make_quotient,
     multiplicative_closure,
     product_encode,
-    zero_ideal,
 )
 from .spectra import (
     PointSet,
+    _meet_inclusion_failure,
     check_mip,
     has_partition_of_unity,
     hull_mask,
@@ -80,8 +79,7 @@ DEFAULT_SUITE_EXPRS = ("Z2", "Z4", "Z6", "Z8", "Z12", "Z36",
 
 def _ctx(ring, kind, caps):
     spec = make_spectrum(ring, kind, caps)
-    T = generate_topology(spec, caps)
-    return enumerate_ideals(ring, caps), spec, T
+    return spec.lattice, spec, generate_topology(spec, caps)
 
 
 class HomView:
@@ -259,7 +257,9 @@ def _run_t01(R, kind, caps):
     # the law holds iff it holds on singletons, p ∈ h(a) ⟺ a ⊆ p.  A failing S
     # holds a failing singleton of no larger mask, so the point-major scan
     # finds the first failing S.  hk extensive, S ⊆ hk(S), is the law at k(S).
-    galois = H.T != lat.leq[:, list(spec.lattice_indices)].T  # [point, ideal]
+    # a ⊆ p from the element masks, not from the leq that hulls is packed from
+    galois = H.T != np.array([[m & ~lat.masks[p] == 0 for m in lat.masks]
+                              for p in spec.lattice_indices])  # [point, ideal]
     if galois.any():
         j, i = divmod(int(galois.argmax()), nL)
         return _fail("T01", {"part": "Galois connection", "S": [spec.points[j].name],
@@ -431,26 +431,25 @@ def _run_t06(R, kind, caps):
 # T07  the strongly irreducible spectrum
 
 
+def _lowest(mask):
+    """Index of the lowest set bit: the first ideal of a row in canonical order."""
+    return (mask & -mask).bit_length() - 1
+
+
 def _run_t07(R, kind, caps):
     lat, spec, _T = _ctx(R, kind, caps)
-    pts = witness_order(spec.points)
-    for a in witness_order(lat.ideals):
-        for b in witness_order(lat.ideals):
-            meet = a.members & b.members
-            for s in pts:
-                if meet <= s.members and not a <= s and not b <= s:
-                    return _fail("T07", {"part": "mip over all ideal pairs",
-                                         "a": w_ideal(a), "b": w_ideal(b), "s": w_ideal(s)})
-    for a in lat.proper:
-        spc = classify(a, SpectrumKind.SPC, caps)
-        irs_rad = classify(a, SpectrumKind.IRS, caps) and classify(a, SpectrumKind.RAD, caps)
-        if spc != irs_rad:
-            return _fail("T07", {"part": "prime ⟺ strongly irreducible ∧ radical",
-                                 "a": w_ideal(a)})
+    triple = _meet_inclusion_failure(spec, lat.witness_indices)
+    if triple:
+        a, b, s = (w_ideal(lat.ideals[i]) for i in triple)
+        return _fail("T07", {"part": "mip over all ideal pairs", "a": a, "b": b, "s": s})
+    rows = lat.kind_rows  # no row but FGN's holds R
+    if bad := rows[SpectrumKind.SPC] ^ (rows[SpectrumKind.IRS] & rows[SpectrumKind.RAD]):
+        return _fail("T07", {"part": "prime ⟺ strongly irreducible ∧ radical",
+                             "a": w_ideal(lat.ideals[_lowest(bad)])})
     for sub in (SpectrumKind.SPC, SpectrumKind.SPN, SpectrumKind.MAX):
-        for p in make_spectrum(R, sub, caps).points:
-            if not spec.contains_ideal(p):
-                return _fail("T07", {"part": f"{sub.title} ⊆ Irs", "p": w_ideal(p)})
+        if missing := rows[sub] & ~spec.row:
+            return _fail("T07", {"part": f"{sub.title} ⊆ Irs",
+                                 "p": w_ideal(lat.ideals[_lowest(missing)])})
     return _hold("T07", notes="mip holds over all ideal pairs; sub-spectra contained")
 
 
@@ -461,15 +460,15 @@ def _run_t07(R, kind, caps):
 def _run_t08(R, kind, caps):
     lat, spec, T = _ctx(R, kind, caps)
     t1 = is_t1(T)
-    non_max = [p for p in witness_order(spec.points)
-               if not classify(p, SpectrumKind.MAX, caps)]
+    max_row = lat.kind_rows[SpectrumKind.MAX]
+    non_max = [i for i in spec.witness_indices if not max_row >> i & 1]
     side_max = not non_max
     if t1.holds == side_max:
         return _hold("T08", notes=f"T1 {t1.status}; X ⊆ Max {side_max}")
     return _fail(
         "T08",
         {"t1": t1.status, "X ⊆ Max": side_max,
-         "non_maximal_point": w_ideal(non_max[0]) if non_max else None,
+         "non_maximal_point": w_ideal(lat.ideals[non_max[0]]) if non_max else None,
          "t1_witness": t1.witness},
         notes="the necessity direction presumes maximal ideals are spectrum "
               "points; antichain spectra (e.g. minimal ideals) are T1 without that")
@@ -548,9 +547,8 @@ def _run_t10(R, kind, caps):
 def _run_t11(R, kind, caps):
     lat, spec, T = _ctx(R, kind, caps)
     irr_masks = {ps.mask for ps, _g in irreducible_closed_sets(T)}
-    for p in witness_order(spec.points):
-        hma = hull_mask(spec, p)
-        i = spec.index[p]
+    for k in spec.witness_indices:
+        p, hma, i = lat.ideals[k], spec.hulls[k], spec.point_positions[k]
         # the meet of the closed sets containing p: each is a meet of finite
         # unions of subbasic sets, and such a union holding p has a member
         # holding p, so the meet of the subbasic hulls holding p is the same
@@ -571,10 +569,10 @@ def _run_t11(R, kind, caps):
 def _run_t12(R, kind, caps):
     lat, spec, T = _ctx(R, kind, caps)
     irr_masks = {ps.mask for ps, _g in irreducible_closed_sets(T)}
-    for a in witness_order(lat.ideals):
-        m = hull_mask(spec, a)
+    for i in lat.witness_indices:
+        m = spec.hulls[i]
         if m and m not in irr_masks:
-            return _fail("T12", {"a": w_ideal(a),
+            return _fail("T12", {"a": w_ideal(lat.ideals[i]),
                                  "hull": w_point_set(PointSet(spec, m))})
     return _hold("T12")
 
@@ -618,10 +616,9 @@ def _run_t13(R, kind, caps):
 def _hypotheses_pr1(R, spec, T, caps):
     if len(jacobson_radical(R, caps).members) != 1:
         return None, "Jacobson radical is nonzero"
-    lat = enumerate_ideals(R, caps)
-    for m in lat.maximal_ideals():
-        if not spec.contains_ideal(m):
-            return None, f"maximal ideal {m.name} not a spectrum point"
+    if missing := spec.lattice.kind_rows[SpectrumKind.MAX] & ~spec.row:
+        name = spec.lattice.ideals[_lowest(missing)].name
+        return None, f"maximal ideal {name} not a spectrum point"
     pair = subbase_pair(T)
     return pair, "" if pair else "subbase does not strongly disconnect the space"
 
@@ -672,7 +669,7 @@ def _run_t15(R, kind, caps):
 def _run_t16(R, kind, caps):
     lat, spec, T = _ctx(R, kind, caps)
     conn = is_connected(T)
-    if not spec.contains_ideal(zero_ideal(R)):
+    if not spec.row & 1:  # o, lattice index 0, is not a point
         note = "o not a point; hypothesis unsatisfied"
         if conn.holds:
             note += " (converse fails here: connected without containing o)"
@@ -703,8 +700,8 @@ def _run_t17(R, kind, caps):
     if not ha or not hb or ha & hb:
         return _fail("T17", {"a": w_ideal(a), "b": w_ideal(b)},
                      notes="coordinate pair is not a disjoint nonempty pair")
-    uncovered = [p for p in witness_order(spec.points)
-                 if not (ha | hb) >> spec.index[p] & 1]
+    pos = spec.point_positions
+    uncovered = [lat.ideals[k] for k in spec.witness_indices if not (ha | hb) >> pos[k] & 1]
     if not uncovered:
         return _fail("T17", {"a": w_ideal(a), "b": w_ideal(b)},
                      notes="coordinate pair unexpectedly covers the space")
@@ -737,25 +734,22 @@ def _pull_back(mask, bits):
     return out
 
 
-def _transport_is_homeo(T_big, big_bits, T_small):
-    """Is point i of T_small -> big_bits[i] a homeomorphism onto its image
-    with the subspace topology from T_big?
+def _embedding_failure(T_big, bits, T_small):
+    """Why point i of T_small -> bits[i] of T_big is not a homeomorphism onto
+    its image with the subspace topology, or "" when it is one.
 
     Both topologies are the up-sets of their inclusion orders, so this asks
-    for an injective map with i ⊆ j ⟺ big_bits[i] ⊆ big_bits[j].
+    for an injective map with i ⊆ j ⟺ bits[i] ⊆ bits[j]: the pull-back of
+    the closure of each bits[i] must be the closure of i.
     """
-    if len(set(big_bits)) != len(big_bits):
-        return False, "map not injective"
-    big_only = small_only = False
-    for i, b in enumerate(big_bits):
-        pulled = _pull_back(T_big.above[b], big_bits)
-        big_only |= pulled & ~T_small.above[i] != 0
-        small_only |= T_small.above[i] & ~pulled != 0
-    if big_only:
-        return False, "image of a closed set is not closed in the subspace"
-    if small_only:
-        return False, "preimage of a closed set is not closed"
-    return True, ""
+    if len(set(bits)) != len(bits):
+        return "map not injective"
+    pairs = [(_pull_back(T_big.above[b], bits), row) for b, row in zip(bits, T_small.above)]
+    if any(pulled & ~row for pulled, row in pairs):
+        return "image of a closed set is not closed in the subspace"
+    if any(row & ~pulled for pulled, row in pairs):
+        return "preimage of a closed set is not closed"
+    return ""
 
 
 def _run_t18(R, kind, caps):
@@ -783,17 +777,11 @@ def _run_t19(R, kind, caps, quotients_only=False, check_id="T19"):
         views = views + _localization_views(R, caps)
     checked = 0
     for v, bits in _gated_views([v for v in views if v.surjective], kind, caps):
-        other = make_spectrum(v.hom.target, kind, caps)
-        T_other = generate_topology(other, caps)
+        T_other = generate_topology(make_spectrum(v.hom.target, kind, caps), caps)
+        # every contraction f⁻¹(b) contains f⁻¹(0) = ker f, so the image lies
+        # in h(ker f); the set equality below asks that it be all of it
         ker = v.kernel
-        k = lat.index(ker)
-        for b, j in zip(other.points, other.lattice_indices):
-            pre = v.contract[j]
-            if not lat.leq[k, pre]:
-                return _fail(check_id, {"hom": v.hom.label, "b": w_ideal(b),
-                                        "preimage": w_ideal(lat.ideals[pre])},
-                             notes="contraction leaves h(ker f)")
-        M = spec.hulls[k]
+        M = spec.hulls[lat.index(ker)]
         onto = set(bits)
         if onto != {i for i in range(len(spec)) if M >> i & 1}:
             missing = [p for i, p in enumerate(spec.points) if M >> i & 1 and i not in onto]
@@ -804,8 +792,7 @@ def _run_t19(R, kind, caps, quotients_only=False, check_id="T19"):
                  "uncovered": w_ideals(missing)},
                 notes="the contraction map is not onto h(ker f); the spectrum of "
                       "the quotient does not reflect these points")
-        homeo, why = _transport_is_homeo(T, bits, T_other)
-        if not homeo:
+        if why := _embedding_failure(T, bits, T_other):
             return _fail(check_id, {"hom": v.hom.label, "why": why})
         checked += 1
     if checked == 0:
@@ -840,14 +827,9 @@ def _run_t21(R, kind, caps):
     for v, bits in _gated_views(_localization_views(R, caps), kind, caps):
         S = v.mult_set
         s_mask = sum(1 << x for x in S.members)
-        other = make_spectrum(v.hom.target, kind, caps)
-        T_other = generate_topology(other, caps)
-        for b, j in zip(other.points, other.lattice_indices):
-            pre = v.contract[j]
-            if lat.masks[pre] & s_mask:
-                return _fail("T21", {"hom": v.hom.label, "b": w_ideal(b),
-                                     "preimage": w_ideal(lat.ideals[pre])},
-                             notes="contraction meets S or leaves the spectrum")
+        T_other = generate_topology(make_spectrum(v.hom.target, kind, caps), caps)
+        # each f(s) is a unit of R_S and points are proper, so contractions
+        # avoid S; the set equality below asks that every such point be hit
         avoiding = {i for i, p in enumerate(spec.points) if not p.mask & s_mask}
         if set(bits) != avoiding:
             missing = [spec.points[i] for i in sorted(avoiding - set(bits))]
@@ -857,8 +839,7 @@ def _run_t21(R, kind, caps):
                  "uncovered": w_ideals(missing)},
                 notes="X(R_S) does not reflect every point of X(R) avoiding S "
                       "(only saturated ideals contract back)")
-        homeo, why = _transport_is_homeo(T, bits, T_other)
-        if not homeo:
+        if why := _embedding_failure(T, bits, T_other):
             return _fail("T21", {"hom": v.hom.label, "why": why})
         checked += 1
     if checked == 0:
@@ -877,13 +858,13 @@ def _run_t22(R, kind, caps):
 def _run_t23(R, kind, caps):
     lat, spec, T = _ctx(R, kind, caps)
     pou = has_partition_of_unity(spec)
-    maxs = lat.maximal_ideals()
-    contains_max = all(spec.contains_ideal(m) for m in maxs)
+    missing = lat.kind_rows[SpectrumKind.MAX] & ~spec.row
+    contains_max = not missing
     if pou != contains_max:
-        missing = [m for m in maxs if not spec.contains_ideal(m)]
         return _fail("T23", {"partition_of_unity": pou,
                              "contains_all_maximal": contains_max,
-                             "missing": w_ideals(missing)})
+                             "missing": w_ideals(a for i, a in enumerate(lat.ideals)
+                                                 if missing >> i & 1)})
     qc = is_quasi_compact(T)
     note = f"pou={pou}; {qc.notes}"
     if pou and not qc.holds:  # pragma: no cover - finite spaces are compact
@@ -1142,14 +1123,10 @@ def run_suite(cfg=SuiteConfig()):
 
 
 def verify_homeomorphism(f, T1, T2):
-    """True iff the point bijection f (index map T1 -> T2) is a homeomorphism:
-    on these order topologies, iff f maps the closure of each point i onto
-    the closure of f[i]."""
-    n1, n2 = len(T1.spectrum), len(T2.spectrum)
+    """True iff the point map f (index map T1 -> T2) is a homeomorphism: the
+    spaces have as many points as f has entries, and f is an embedding."""
     f = tuple(f)
-    if len(f) != n1 or n1 != n2 or len(set(f)) != n1:
-        return False
-    return all(_pull_back(T2.above[f[i]], f) == T1.above[i] for i in range(n1))
+    return len(f) == len(T1.spectrum) == len(T2.spectrum) and not _embedding_failure(T2, f, T1)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from idealspaces import SuiteRecord
 from idealspaces.cli import main
 
@@ -123,3 +125,31 @@ def test_default_report_matches_its_golden_digest():
                          capture_output=True, timeout=600)
     assert len(out.stdout) == DEFAULT_REPORT_BYTES
     assert hashlib.sha256(out.stdout).hexdigest() == DEFAULT_REPORT_SHA256
+
+
+# sha256, length and exit status of one ring's report: a deep ring (64
+# elements, 7 ideals) and two wide ones, the widest with its 86 cap errors
+RING_REPORTS = {
+    "Z64": ("c6ce40e23ab577c19b7cec7809714ecc72af54de40249a0f768ce6ff528ad9c1", 93_055, 1),
+    "Z2xZ2xZ2xZ2": ("c0a35305e56aa26dbe96579ae201029694ea221707cc1667b8028ba133751ea4",
+                    100_730, 1),
+    "Z2xZ2xZ2xZ2xZ2": ("699af7a9a6d9b728969e4bd8cb426732346efb0747639b9f1440614127a7dc59",
+                       96_301, 3),
+}
+
+
+@pytest.mark.parametrize("expr", sorted(RING_REPORTS))
+def test_ring_report_matches_its_golden_digest(expr):
+    """Every status, witness and note of one ring's report, byte for byte.
+
+    A change that alters a verdict on purpose updates the entry and says why
+    in CHANGES.md.  Regenerate it from the repository root with
+
+        PYTHONPATH=src python -m idealspaces verify --ring EXPR --format json > report.json
+        echo $?; wc -c report.json; sha256sum report.json
+    """
+    out = subprocess.run([sys.executable, "-m", "idealspaces", "verify", "--ring", expr,
+                          "--format", "json"], capture_output=True, timeout=600)
+    digest, size, status = RING_REPORTS[expr]
+    assert (len(out.stdout), out.returncode) == (size, status)
+    assert hashlib.sha256(out.stdout).hexdigest() == digest

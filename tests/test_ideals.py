@@ -79,8 +79,11 @@ class TestLattice:
             enumerate_ideals(make_zmod(24), Caps(max_ideals=4))  # uncached path
         lat = enumerate_ideals(ring("Z12"))  # warm the cache
         assert len(lat) == 6
-        with pytest.raises(CapExceeded):
+        with pytest.raises(CapExceeded, match="6 ideals exceed cap 4"):
             enumerate_ideals(ring("Z12"), Caps(max_ideals=4))  # cached path
+        assert make_spectrum(ring("Z12"), "spc").lattice is lat  # cached spectrum
+        with pytest.raises(CapExceeded, match="6 ideals exceed cap 4"):
+            make_spectrum(ring("Z12"), "spc", Caps(max_ideals=4))
 
 
 class TestArithmetic:

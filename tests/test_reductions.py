@@ -237,15 +237,37 @@ def _frozenset_union_axiom(spec, imk):
     return True, None
 
 
+def _suite_views():
+    """Each suite ring with its canonical quotient and localization views."""
+    for expr in DEFAULT_SUITE_EXPRS:
+        R = get_ring(expr)
+        yield R, _quotient_views(R, DEFAULT_CAPS) + _localization_views(R, DEFAULT_CAPS)
+
+
 def _kernel_rings():
     """The suite rings and every canonical quotient and localization of them."""
     out = []
-    for expr in DEFAULT_SUITE_EXPRS:
-        R = get_ring(expr)
-        out.append(R)
-        views = _quotient_views(R, DEFAULT_CAPS) + _localization_views(R, DEFAULT_CAPS)
-        out += [v.hom.target for v in views]
+    for R, views in _suite_views():
+        out += [R] + [v.hom.target for v in views]
     return out
+
+
+def test_contractions_contain_the_kernel_and_avoid_the_mult_set():
+    """The lemmas T19 and T21 rest on without restating them, on the views'
+    contraction tables: every f⁻¹(b) contains ker f = f⁻¹(0), and for
+    R -> R_S the contraction of every proper ideal of R_S is disjoint from S
+    (each f(s) is a unit)."""
+    localizations = 0
+    for R, views in _suite_views():
+        masks = enumerate_ideals(R).masks
+        for v in views:
+            assert all(v.kernel.mask & ~masks[c] == 0 for c in v.contract), v.hom.label
+            if v.mult_set is not None:
+                s_mask = sum(1 << x for x in v.mult_set.members)
+                # the target lattice is in canonical order, R last
+                assert all(masks[c] & s_mask == 0 for c in v.contract[:-1]), v.hom.label
+                localizations += 1
+    assert localizations > 0
 
 
 class TestKernelImage:

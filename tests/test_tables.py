@@ -335,6 +335,21 @@ class TestT01Vectorised:
                             hidden += 1
         assert hidden > 0
 
+    def test_wrong_inclusion_entries_fail_the_galois_law(self):
+        # one false leq entry, set after the spectrum is built but before its
+        # hull table is packed from leq: the hulls agree with the wrong leq,
+        # so only the element masks can tell p ∈ h(a) from a ⊆ p
+        for a, b, point in (("⟨4⟩", "o", "o"), ("⟨2⟩", "⟨4⟩", "⟨4⟩")):
+            R = parse_ring_expression("Z8")
+            make_spectrum(R, "prp")
+            lat = enumerate_ideals(R)
+            index = {x.name: i for i, x in enumerate(lat.ideals)}
+            lat.leq[index[a], index[b]] = True
+            got = run_check("T01", R, "prp")
+            assert got.fails, (a, b)
+            assert got.witness["part"] == "Galois connection"
+            assert (got.witness["S"], got.witness["a"]["ideal"]) == ([point], a)
+
     def test_no_note_says_sampled(self, suite_rings):
         caps = Caps(max_points=64)
         wide = [parse_ring_expression(e, caps) for e in ("Z2xZ2xZ2xZ2xZ2", "Z4xZ4xZ4")]
