@@ -46,7 +46,9 @@ class Spectrum:
       points containing a_i (R when there are none);
     - ``kernel_image`` holds the lattice indices of im(k) = {k(S) : S ⊆ X},
       every meet of a set of points and R = k(∅), in the canonical witness
-      order: the quantifier domain of the meet-inclusion checks.
+      order: the quantifier domain of the meet-inclusion checks;
+    - ``above[j]`` is the hull row of point j, the mask of the points
+      containing it: the point order, which is also the topology's closures.
 
     ``topology`` holds the spectrum's ``TopologySpace`` once
     ``generate_topology`` has built it.
@@ -82,6 +84,10 @@ class Spectrum:
         inside = np.packbits(self.lattice.leq[:, list(self.lattice_indices)],
                              axis=1, bitorder="little")
         return tuple(int.from_bytes(row.tobytes(), "little") for row in inside)
+
+    @cached_property
+    def above(self):
+        return tuple(self.hulls[i] for i in self.lattice_indices)
 
     @cached_property
     def x_radicals(self):
@@ -157,9 +163,6 @@ class PointSet:
         i = self.spectrum.index.get(a)
         return i is not None and self.mask >> i & 1
 
-    def union(self, other):
-        return PointSet(self.spectrum, self.mask | other.mask)
-
     def __le__(self, other):
         return self.mask & ~other.mask == 0
 
@@ -207,11 +210,14 @@ def x_radical(spec, a):
 def _meet_inclusion_failure(spec, domain):
     """The first lattice-index triple (a, b, s) with a ∩ b ⊆ s, a ⊄ s and
     b ⊄ s, in the order of ``domain`` for a and b and then of the points in
-    witness order for s, or None; read off the inclusion and meet tables."""
+    witness order for s, or None.  a ∩ b is looked up by its element mask,
+    not read from the meet table the kind rows are defined from."""
     lat, domain, points = spec.lattice, list(domain), list(spec.witness_indices)
+    masks, index = lat.masks, lat.mask_index
     inside = lat.leq[:, points]  # inside[i, s]: a_i ⊆ the s-th point
     out = ~inside[domain]
-    bad = inside[lat.meet[np.ix_(domain, domain)]] & out[:, None, :] & out[None, :, :]
+    meets = [[index[masks[a] & masks[b]] for b in domain] for a in domain]
+    bad = inside[meets] & out[:, None, :] & out[None, :, :]
     if not bad.any():
         return None
     i, j, k = np.unravel_index(int(bad.argmax()), bad.shape)

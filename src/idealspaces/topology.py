@@ -19,7 +19,7 @@ from operator import or_
 
 from .caps import DEFAULT_CAPS
 from .errors import CapExceeded, HypothesisViolated, MixedRings, NoPartitionFound
-from .ideals import enumerate_ideals, jacobson_radical, witness_order
+from .ideals import enumerate_ideals, jacobson_radical
 from .reports import FAILS, HOLDS, VerdictReport, w_ideal, w_point_set
 from .spectra import PointSet, has_partition_of_unity, hull_mask
 
@@ -39,7 +39,7 @@ class TopologySpace:
     def __init__(self, spectrum, max_closed):
         self.spectrum = spectrum
         self.max_closed = max_closed
-        self.above = tuple(spectrum.hulls[i] for i in spectrum.lattice_indices)
+        self.above = spectrum.above
         self.subbase_masks = tuple(sorted(set(spectrum.hulls)))
 
     @cached_property
@@ -196,16 +196,17 @@ def is_quasi_compact(T):
 
 
 def subbase_pair(T):
-    """The first pair (a, b) of canonical kernel ideals, in witness order,
-    whose hulls are nonempty, disjoint and cover the space, or None."""
+    """The first pair (a, b) of lattice indices of canonical kernel ideals, in
+    witness order, whose hulls are nonempty, disjoint and cover the space, or
+    None."""
     spec = T.spectrum
+    hulls = spec.hulls
     # the lattice is in ascending order, so the largest ideal per hull wins
-    largest = dict(zip(spec.hulls, spec.lattice.ideals))
-    ordered = [(hull_mask(spec, a), a)
-               for a in witness_order(largest[m] for m in T.subbase_masks if m)]
-    for i, (a_mask, a) in enumerate(ordered):
-        for b_mask, b in ordered[i:]:
-            if a_mask & b_mask == 0 and a_mask | b_mask == T.full_mask:
+    largest = {m: i for i, m in enumerate(hulls)}
+    ordered = [i for i in spec.lattice.witness_indices if hulls[i] and largest[hulls[i]] == i]
+    for n, a in enumerate(ordered):
+        for b in ordered[n:]:
+            if hulls[a] & hulls[b] == 0 and hulls[a] | hulls[b] == T.full_mask:
                 return a, b
     return None
 
@@ -226,8 +227,8 @@ def strongly_disconnects(T, family="subbase"):
         pair = subbase_pair(T)
         size = {"members": len(T.subbase_masks)}
         if pair:
-            masks = [hull_mask(spec, a) for a in pair]
-            ideals = {"a": w_ideal(pair[0]), "b": w_ideal(pair[1])}
+            masks = [spec.hulls[i] for i in pair]
+            ideals = {k: w_ideal(spec.lattice.ideals[i]) for k, i in zip("ab", pair)}
     else:
         comps = components(T)
         pair, size, ideals = len(comps) > 1, {"components": len(comps)}, {}

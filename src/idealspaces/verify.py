@@ -8,6 +8,11 @@ forms track vacuity.  Instances whose spectrum is empty report ``vacuous``.
 Witness selection is deterministic: ideals are searched largest-first, in
 ``witness_indices`` order, so identical configurations produce identical
 reports.  Point membership is a bit of the spectrum's kind row.
+
+The contraction checks T18-T22 share one record per (hom, kind),
+``HomView.at``: the source point of each target point, their mask and the
+target spectrum, whose hull table they compare against.  No target topology
+is built: the point order the embedding test reads is ``Spectrum.above``.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from operator import and_
+from operator import and_, or_
 from time import perf_counter
 
 import numpy as np
@@ -51,7 +56,6 @@ from .spectra import (
     check_mip,
     has_partition_of_unity,
     hull_mask,
-    kernel,
     kuratowski_union_axiom,
     make_spectrum,
 )
@@ -82,6 +86,17 @@ def _ctx(ring, kind, caps):
     return spec.lattice, spec, generate_topology(spec, caps)
 
 
+@dataclass(frozen=True)
+class Contraction:
+    """The contraction map b -> f⁻¹(b) of one hom on one kind: ``bits[j]`` is
+    the source point index of f⁻¹(b) for the j-th point b of ``target``, the
+    spectrum of f's target, and ``image`` is the mask of those source points."""
+
+    bits: tuple
+    image: int
+    target: object
+
+
 class HomView:
     """One canonical hom f: R -> R' (a quotient or a localization) with the
     tables the contraction checks T18-T22 read.
@@ -90,13 +105,13 @@ class HomView:
       ideal b of the target lattice;
     - ``pushed[i]`` is the target lattice index of ⟨f(a)⟩ for the i-th ideal
       a of the source lattice;
-    - ``kernel`` is ker f, an ideal of R, and ``surjective`` says whether f
-      is onto.
+    - ``kernel`` is ker f, an ideal of R.
 
     These depend on f and the two lattices alone, not on a spectrum kind, so
-    they are built once per hom.  ``points(kind, caps)`` adds the kind: the
-    source point index of f⁻¹(b) for each point b of X(R'), or None when some
+    they are built once per hom.  ``at(kind, caps)`` adds the kind: the
+    ``Contraction`` of f on it, built once per (hom, kind), or None when some
     f⁻¹(b) is not a point of X(R), i.e. when the contraction property fails.
+    Every canonical hom is onto: a quotient map, or r -> e·r onto eR = R_S.
     """
 
     def __init__(self, hom, caps, mult_set=None):
@@ -104,8 +119,7 @@ class HomView:
         self.caps = caps
         self.mult_set = mult_set  # S for the localization R -> R_S
         self.kernel = hom.kernel()
-        self.surjective = hom.is_surjective()
-        self._points = {}
+        self._at = {}
 
     @cached_property
     def contract(self):
@@ -134,31 +148,24 @@ class HomView:
             out.append(tgt.smallest_containing(image))
         return tuple(out)
 
-    def points(self, kind, caps):
-        if kind not in self._points:
+    def at(self, kind, caps):
+        if kind not in self._at:
             pos = make_spectrum(self.hom.source, kind, caps).point_positions
             target = make_spectrum(self.hom.target, kind, caps)
             bits = tuple(pos[self.contract[j]] for j in target.lattice_indices)
-            self._points[kind] = None if None in bits else bits
-        return self._points[kind]
+            self._at[kind] = None if None in bits else Contraction(
+                bits, reduce(or_, (1 << b for b in bits), 0), target)
+        return self._at[kind]
 
 
-def _quotient_views(R, caps):
-    """Views of R -> R/a for every proper ideal a, built once per ring."""
-    views = R._derived.get("quotient_views")
+def _hom_views(R, caps):
+    """Views of R -> R/a for every proper ideal a, then of R -> R_S for every
+    distinct closure S of one nonzero element that avoids 0; built once per
+    ring."""
+    views = R._derived.get("hom_views")
     if views is None:
         views = [HomView(make_quotient(R, a, caps=caps)[1], caps)
                  for a in enumerate_ideals(R, caps).proper]
-        R._derived["quotient_views"] = views
-    return views
-
-
-def _localization_views(R, caps):
-    """Views of R -> R_S for every distinct closure S of one nonzero element
-    that avoids 0, built once per ring."""
-    views = R._derived.get("localization_views")
-    if views is None:
-        views = []
         seen = set()
         for x in R.elements:
             if x == R.zero:
@@ -168,7 +175,7 @@ def _localization_views(R, caps):
                 continue
             seen.add(S.members)
             views.append(HomView(localize(R, S, caps=caps)[1], caps, S))
-        R._derived["localization_views"] = views
+        R._derived["hom_views"] = views
     return views
 
 
@@ -218,8 +225,7 @@ def _run_t01(R, kind, caps):
         return _fail("T01", {"part": "h(R)=∅"})
     if hulls[0] != full:
         return _fail("T01", {"part": "h(o)=X"})
-    if kernel(PointSet(spec, 0)).proper:
-        return _fail("T01", {"part": "k(∅)=R"})
+    # k(∅) = R is a definition, not a law: spectra.kernel returns R for ∅
 
     # laws over ideal pairs; the first failure in (a, b) order, each a's
     # radical law after its pairs
@@ -620,7 +626,9 @@ def _hypotheses_pr1(R, spec, T, caps):
         name = spec.lattice.ideals[_lowest(missing)].name
         return None, f"maximal ideal {name} not a spectrum point"
     pair = subbase_pair(T)
-    return pair, "" if pair else "subbase does not strongly disconnect the space"
+    if pair is None:
+        return None, "subbase does not strongly disconnect the space"
+    return tuple(spec.lattice.ideals[i] for i in pair), ""
 
 
 def _run_t14(R, kind, caps):
@@ -716,15 +724,6 @@ def _run_t17(R, kind, caps):
 # contraction-map checks (T18-T22)
 
 
-def _gated_views(views, kind, caps):
-    """(view, source point index per target point) for the views whose hom
-    has the contraction property on this kind."""
-    for v in views:
-        bits = v.points(kind, caps)
-        if bits is not None:
-            yield v, bits
-
-
 def _pull_back(mask, bits):
     """Mask of the positions j whose point bits[j] lies in ``mask``."""
     out = 0
@@ -734,9 +733,10 @@ def _pull_back(mask, bits):
     return out
 
 
-def _embedding_failure(T_big, bits, T_small):
-    """Why point i of T_small -> bits[i] of T_big is not a homeomorphism onto
-    its image with the subspace topology, or "" when it is one.
+def _embedding_failure(big, bits, small):
+    """Why point i of ``small`` -> bits[i] of ``big`` is not a homeomorphism
+    onto its image with the subspace topology, or "" when it is one; reads the
+    ``above`` rows of two spectra (or of their topologies).
 
     Both topologies are the up-sets of their inclusion orders, so this asks
     for an injective map with i ⊆ j ⟺ bits[i] ⊆ bits[j]: the pull-back of
@@ -744,7 +744,7 @@ def _embedding_failure(T_big, bits, T_small):
     """
     if len(set(bits)) != len(bits):
         return "map not injective"
-    pairs = [(_pull_back(T_big.above[b], bits), row) for b, row in zip(bits, T_small.above)]
+    pairs = [(_pull_back(big.above[b], bits), row) for b, row in zip(bits, small.above)]
     if any(pulled & ~row for pulled, row in pairs):
         return "image of a closed set is not closed in the subspace"
     if any(row & ~pulled for pulled, row in pairs):
@@ -754,97 +754,82 @@ def _embedding_failure(T_big, bits, T_small):
 
 def _run_t18(R, kind, caps):
     lat, spec, _T = _ctx(R, kind, caps)
-    views = _quotient_views(R, caps) + _localization_views(R, caps)
-    checked = 0
-    for v, bits in _gated_views(views, kind, caps):
-        other = make_spectrum(v.hom.target, kind, caps)
+    gated = [(v, c) for v in _hom_views(R, caps) if (c := v.at(kind, caps))]
+    for v, c in gated:
         # h(a) must pull back to the target hull h(⟨f(a)⟩), an up-set, so the
         # map is continuous: the closed sets are the unions of the h(a)
         for i, a in enumerate(lat.ideals):
-            if _pull_back(spec.hulls[i], bits) != other.hulls[v.pushed[i]]:
+            if _pull_back(spec.hulls[i], c.bits) != c.target.hulls[v.pushed[i]]:
                 return _fail("T18", {"hom": v.hom.label, "a": w_ideal(a),
                                      "part": "(f*)⁻¹(h(a)) = h(⟨f(a)⟩)"})
-        checked += 1
-    if checked == 0:
+    if not gated:
         return _vac("T18", notes="no hom with the contraction property")
-    return _hold("T18", notes=f"{checked} canonical homs checked")
+    return _hold("T18", notes=f"{len(gated)} canonical homs checked")
 
 
 def _run_t19(R, kind, caps, quotients_only=False, check_id="T19"):
-    lat, spec, T = _ctx(R, kind, caps)
-    views = _quotient_views(R, caps)
-    if not quotients_only:
-        views = views + _localization_views(R, caps)
-    checked = 0
-    for v, bits in _gated_views([v for v in views if v.surjective], kind, caps):
-        T_other = generate_topology(make_spectrum(v.hom.target, kind, caps), caps)
+    lat, spec, _T = _ctx(R, kind, caps)
+    gated = [(v, c) for v in _hom_views(R, caps)
+             if not (quotients_only and v.mult_set is not None) and (c := v.at(kind, caps))]
+    for v, c in gated:
         # every contraction f⁻¹(b) contains f⁻¹(0) = ker f, so the image lies
-        # in h(ker f); the set equality below asks that it be all of it
+        # in h(ker f); the equality asks that it be all of it
         ker = v.kernel
         M = spec.hulls[lat.index(ker)]
-        onto = set(bits)
-        if onto != {i for i in range(len(spec)) if M >> i & 1}:
-            missing = [p for i, p in enumerate(spec.points) if M >> i & 1 and i not in onto]
+        if c.image != M:
             return _fail(
                 check_id,
                 {"hom": v.hom.label, "kernel": w_ideal(ker),
                  "h(ker)": w_point_set(PointSet(spec, M)),
-                 "uncovered": w_ideals(missing)},
+                 "uncovered": w_ideals(PointSet(spec, M & ~c.image).ideals)},
                 notes="the contraction map is not onto h(ker f); the spectrum of "
                       "the quotient does not reflect these points")
-        if why := _embedding_failure(T, bits, T_other):
+        if why := _embedding_failure(spec, c.bits, c.target):
             return _fail(check_id, {"hom": v.hom.label, "why": why})
-        checked += 1
-    if checked == 0:
+    if not gated:
         return _vac(check_id, notes="no surjective hom with the contraction property")
-    return _hold(check_id, notes=f"{checked} surjections checked")
+    return _hold(check_id, notes=f"{len(gated)} surjections checked")
 
 
 def _run_t20(R, kind, caps):
     lat, spec, T = _ctx(R, kind, caps)
-    k_full = kernel(PointSet(spec, spec.full_mask))
-    views = _quotient_views(R, caps) + _localization_views(R, caps)
-    checked = 0
-    for v, bits in _gated_views(views, kind, caps):
-        image = 0
-        for i in bits:
-            image |= 1 << i
-        dense = closure_of(T, image).mask == spec.full_mask
-        ker_contained = v.kernel <= k_full
+    k_full = reduce(and_, (lat.masks[i] for i in spec.lattice_indices))  # ∩X
+    gated = [(v, c) for v in _hom_views(R, caps) if (c := v.at(kind, caps))]
+    for v, c in gated:
+        dense = closure_of(T, c.image).mask == spec.full_mask
+        ker_contained = v.kernel.mask & ~k_full == 0
         if dense != ker_contained:
             return _fail("T20", {"hom": v.hom.label, "dense": dense,
                                  "ker ⊆ ∩X": ker_contained,
                                  "kernel": w_ideal(v.kernel)})
-        checked += 1
-    if checked == 0:
+    if not gated:
         return _vac("T20", notes="no hom with the contraction property")
-    return _hold("T20", notes=f"{checked} homs checked")
+    return _hold("T20", notes=f"{len(gated)} homs checked")
 
 
 def _run_t21(R, kind, caps):
-    lat, spec, T = _ctx(R, kind, caps)
-    checked = 0
-    for v, bits in _gated_views(_localization_views(R, caps), kind, caps):
+    lat, spec, _T = _ctx(R, kind, caps)
+    gated = [(v, c) for v in _hom_views(R, caps)
+             if v.mult_set is not None and (c := v.at(kind, caps))]
+    for v, c in gated:
         S = v.mult_set
         s_mask = sum(1 << x for x in S.members)
-        T_other = generate_topology(make_spectrum(v.hom.target, kind, caps), caps)
         # each f(s) is a unit of R_S and points are proper, so contractions
-        # avoid S; the set equality below asks that every such point be hit
-        avoiding = {i for i, p in enumerate(spec.points) if not p.mask & s_mask}
-        if set(bits) != avoiding:
-            missing = [spec.points[i] for i in sorted(avoiding - set(bits))]
+        # avoid S; the equality asks that every such point be hit
+        avoiding = sum(1 << j for j, i in enumerate(spec.lattice_indices)
+                       if not lat.masks[i] & s_mask)
+        if c.image != avoiding:
             return _fail(
                 "T21",
                 {"hom": v.hom.label, "S": sorted(R.name(x) for x in S.members),
-                 "uncovered": w_ideals(missing)},
+                 "uncovered": w_ideals(PointSet(spec, avoiding & ~c.image).ideals)},
                 notes="X(R_S) does not reflect every point of X(R) avoiding S "
                       "(only saturated ideals contract back)")
-        if why := _embedding_failure(T, bits, T_other):
+        if why := _embedding_failure(spec, c.bits, c.target):
             return _fail("T21", {"hom": v.hom.label, "why": why})
-        checked += 1
-    if checked == 0:
+    if not gated:
         return _vac("T21", notes="no localization with the contraction property")
-    return _hold("T21", notes=f"{checked} localizations checked")
+    return _hold("T21", notes=f"{len(gated)} localizations checked")
 
 
 def _run_t22(R, kind, caps):
@@ -1176,18 +1161,12 @@ def search_counterexamples(check_id, family, kinds=None, caps=DEFAULT_CAPS):
             spec = make_spectrum(R, kv, caps)
             if not spec.points:
                 continue
-            if check_id in ("T03", "T24"):
-                rep = check_mip(spec)
-                bad = rep.fails
-                witness, notes = rep.witness, rep.notes
-            else:
-                rep = run_check(check_id, R, kv, caps)
-                bad = rep.fails
-                witness, notes = rep.witness, rep.notes
-            if bad:
+            rep = (check_mip(spec) if check_id in ("T03", "T24")
+                   else run_check(check_id, R, kv, caps))
+            if rep.fails:
                 results.append({"ring": R.label, "kind": kv,
-                                "points": len(spec), "witness": witness,
-                                "notes": notes})
+                                "points": len(spec), "witness": rep.witness,
+                                "notes": rep.notes})
     results.sort(key=lambda r: (r["points"], r["ring"], r["kind"]))
     return results
 

@@ -127,10 +127,14 @@ def test_default_report_matches_its_golden_digest():
     assert hashlib.sha256(out.stdout).hexdigest() == DEFAULT_REPORT_SHA256
 
 
-# sha256, length and exit status of one ring's report: a deep ring (64
-# elements, 7 ideals) and two wide ones, the widest with its 86 cap errors
+# sha256, length and exit status of one ring's report, for every ring of the
+# ladder: a deep ring (64 elements, 7 ideals), two wide ones (the widest with
+# its 86 cap errors), Z60 and Z4xZ4xZ4 (with its 65 cap errors)
 RING_REPORTS = {
     "Z64": ("c6ce40e23ab577c19b7cec7809714ecc72af54de40249a0f768ce6ff528ad9c1", 93_055, 1),
+    "Z60": ("7a986257c2b6016a9ad7b6483dba1506b265487d98968c1a1c05cae088bdf385", 99_327, 1),
+    "Z4xZ4xZ4": ("d759144f186cfc4b3d3cd899b60890fa0c177357b203a83dc06523e625e15c43",
+                 97_134, 3),
     "Z2xZ2xZ2xZ2": ("c0a35305e56aa26dbe96579ae201029694ea221707cc1667b8028ba133751ea4",
                     100_730, 1),
     "Z2xZ2xZ2xZ2xZ2": ("699af7a9a6d9b728969e4bd8cb426732346efb0747639b9f1440614127a7dc59",

@@ -29,7 +29,7 @@ from idealspaces.spectra import (
     kernel,
     make_spectrum,
 )
-from idealspaces.verify import _localization_views, _quotient_views
+from idealspaces.verify import _hom_views
 from oracles import brute_force_ideal_sets, brute_force_is_prime, brute_force_radical_members
 
 
@@ -210,7 +210,7 @@ class TestTrustedBuilders:
                 spec = make_spectrum(R, kind)
                 built += image_of_kernel(spec)
                 built += [kernel(PointSet(spec, m)) for m in range(1 << len(spec))]
-            views = _quotient_views(R, DEFAULT_CAPS) + _localization_views(R, DEFAULT_CAPS)
+            views = _hom_views(R, DEFAULT_CAPS)
             for f in (v.hom for v in views):
                 built.append(f.kernel())
                 built += [contraction(f, b) for b in enumerate_ideals(f.target).ideals]

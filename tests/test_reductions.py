@@ -41,7 +41,7 @@ from idealspaces.reports import FAILS, HOLDS, VACUOUS, VerdictReport, w_ideal, w
 from idealspaces.rings import Ideal
 from idealspaces.spectra import PointSet
 from idealspaces.topology import TopologySpace
-from idealspaces.verify import _localization_views, _quotient_views
+from idealspaces.verify import _hom_views
 from oracles import kernel_image_closure, up_set_family
 
 
@@ -181,12 +181,13 @@ def _scan_t13(spec):
 
 def _scan_t18(R, kind, spec):
     lat = enumerate_ideals(R)
-    views = _quotient_views(R, DEFAULT_CAPS) + _localization_views(R, DEFAULT_CAPS)
+    views = _hom_views(R, DEFAULT_CAPS)
     checked = 0
     for v in views:
-        bits = v.points(kind, DEFAULT_CAPS)
-        if bits is None:
+        c = v.at(kind, DEFAULT_CAPS)
+        if c is None:
             continue
+        bits = c.bits
         other = make_spectrum(v.hom.target, kind)
 
         def pull(mask):
@@ -241,7 +242,7 @@ def _suite_views():
     """Each suite ring with its canonical quotient and localization views."""
     for expr in DEFAULT_SUITE_EXPRS:
         R = get_ring(expr)
-        yield R, _quotient_views(R, DEFAULT_CAPS) + _localization_views(R, DEFAULT_CAPS)
+        yield R, _hom_views(R, DEFAULT_CAPS)
 
 
 def _kernel_rings():

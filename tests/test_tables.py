@@ -13,6 +13,8 @@ from idealspaces import (
     DEFAULT_CAPS,
     Caps,
     PointSet,
+    SpectrumKind,
+    SuiteConfig,
     check_contraction_property,
     classify,
     contraction,
@@ -27,13 +29,15 @@ from idealspaces import (
     parse_ring_expression,
     radical,
     run_check,
+    run_suite,
     unit_ideal,
     x_radical,
     zero_ideal,
 )
+from idealspaces import exprs
 from idealspaces.reports import FAILS, HOLDS, VerdictReport, w_ideal
 from idealspaces.spectra import hull_mask
-from idealspaces.verify import _localization_views, _quotient_views
+from idealspaces.verify import _hom_views
 from oracles import (
     brute_force_ideal_sets,
     brute_force_is_prime,
@@ -96,7 +100,7 @@ def _kind_row_rings(suite_rings, ring):
     rings = list(suite_rings)
     rings += [ring(e) for e in ("Z64", "Z60", "Z2xZ2xZ2xZ2", "Z2xZ2xZ2xZ2xZ2", "Z4xZ4xZ4")]
     for R in suite_rings:
-        views = _quotient_views(R, DEFAULT_CAPS) + _localization_views(R, DEFAULT_CAPS)
+        views = _hom_views(R, DEFAULT_CAPS)
         rings += [v.hom.target for v in views]
     return rings
 
@@ -151,7 +155,7 @@ class TestHullTable:
 class TestHomViews:
     def test_views_match_contraction_and_the_property_check(self, suite_rings):
         for R in suite_rings:
-            views = _quotient_views(R, DEFAULT_CAPS) + _localization_views(R, DEFAULT_CAPS)
+            views = _hom_views(R, DEFAULT_CAPS)
             src = enumerate_ideals(R)
             for v in views:
                 f = v.hom
@@ -162,16 +166,31 @@ class TestHomViews:
                     pushed = generate_ideal(f.target, {f(x) for x in a.members})
                     assert tgt.ideals[v.pushed[i]].members == pushed.members
                 assert v.kernel.members == f.kernel().members
-                assert v.surjective == f.is_surjective()
+                # every canonical hom is onto, which T19 and T22 rely on
+                assert f.is_surjective(), f.label
                 for kind in ALL_KINDS:
-                    bits = v.points(kind, DEFAULT_CAPS)
+                    c = v.at(kind, DEFAULT_CAPS)
                     fails = check_contraction_property(kind, f).fails
-                    assert (bits is None) == fails, (f.label, kind)
-                    if bits is not None:
+                    assert (c is None) == fails, (f.label, kind)
+                    if c is not None:
                         spec = make_spectrum(R, kind)
                         other = make_spectrum(f.target, kind)
-                        assert list(bits) == [spec.index[contraction(f, b)]
-                                              for b in other.points]
+                        assert c.target is other
+                        assert list(c.bits) == [spec.index[contraction(f, b)]
+                                                for b in other.points]
+                        assert c.image == sum({1 << b for b in c.bits})
+
+    def test_no_target_topology_is_built(self, monkeypatch):
+        # T18-T22 read the target spectra's tables, never their topologies
+        parsed = []
+        parse = exprs.parse_ring_expression
+        monkeypatch.setattr(exprs, "parse_ring_expression",
+                            lambda *args: parsed.append(parse(*args)) or parsed[-1])
+        run_suite(SuiteConfig(ring_exprs=("Z12", "Z2xZ4")))
+        targets = [spec for R in parsed for v in _hom_views(R, DEFAULT_CAPS)
+                   for spec in v.hom.target._derived.get("spectra", {}).values()]
+        assert len(parsed) == 2 and targets
+        assert [s.label for s in targets if s.topology is not None] == []
 
 
 # ---------------------------------------------------------------------------
@@ -364,6 +383,45 @@ class TestT01Vectorised:
         caps = Caps(max_ring_size=72, max_hom_product=5184)
         R = parse_ring_expression("Z72", caps)
         assert run_check("T01", R, "prp", caps).holds
+
+
+class TestT07:
+    @staticmethod
+    def _irs_by_table(expr, s):
+        """A fresh ring whose meet table, before the kind rows are built, has
+        R for every a∩b ⊆ s with a ⊄ s and b ⊄ s, so s is strongly irreducible
+        by the table; only the element masks still show a∩b ⊆ s."""
+        R = parse_ring_expression(expr)
+        lat = enumerate_ideals(R)
+        leq, meet = lat.leq, lat.meet
+        n = len(lat)
+        pairs = [(a, b) for a in range(n) for b in range(n)
+                 if not leq[a, s] and not leq[b, s] and leq[meet[a, b], s]]
+        for a, b in pairs:
+            meet[a, b] = n - 1
+        return R, lat, pairs
+
+    def test_wrong_meet_entries_fail_the_meet_inclusion_clause(self):
+        R, lat, pairs = self._irs_by_table("Z12", 0)
+        assert len(pairs) == 4 and lat.kind_rows[SpectrumKind.IRS] & 1
+        got = run_check("T07", R, "irs")
+        assert got.fails and got.witness["part"] == "mip over all ideal pairs"
+        assert [got.witness[x]["ideal"] for x in "abs"] == ["⟨3⟩", "⟨4⟩", "o"]
+
+    def test_every_table_made_point_fails_the_first_clause(self):
+        gained = 0
+        for expr in ("Z8", "Z12", "Z36", "Z2xZ4", "Z2xZ2xZ2", "Z6xZ6"):
+            base = enumerate_ideals(parse_ring_expression(expr))
+            for s in range(len(base) - 1):
+                if base.kind_rows[SpectrumKind.IRS] >> s & 1:
+                    continue
+                R, lat, _ = self._irs_by_table(expr, s)
+                if lat.kind_rows[SpectrumKind.IRS] >> s & 1:
+                    gained += 1
+                    got = run_check("T07", R, "irs")
+                    assert got.fails, (expr, s)
+                    assert got.witness["part"] == "mip over all ideal pairs", (expr, s)
+        assert gained == 23
 
 
 def test_rings_are_freed_with_their_caches():
