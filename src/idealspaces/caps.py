@@ -2,10 +2,13 @@
 
 Every exhaustive enumeration in the package is bounded by an explicit cap and
 raises :class:`~idealspaces.errors.CapExceeded` instead of truncating.  The
-defaults admit rings of up to 64 elements and spectra of up to 24 points;
-an instance past a cap becomes an ``error`` record in the suite report.
-``max_closed_sets`` guards only the displayed closed family
-(``TopologySpace.closed_masks``), which no check enumerates.
+defaults admit rings of up to 64 elements and spectra of up to 64 points.  A
+ring built from an expression (products, quotients and localizations of Z/n)
+has no more ideals than elements, so within the ring-size cap none goes past
+the point cap.  An instance past a cap becomes an ``error`` record in the
+suite report.  ``max_points`` guards only the topology (``generate_topology``), so it limits
+only the checks that read one.  ``max_closed_sets`` guards only the displayed
+closed family (``TopologySpace.closed_masks``), which no check enumerates.
 """
 
 from dataclasses import dataclass, replace
@@ -15,7 +18,7 @@ from dataclasses import dataclass, replace
 class Caps:
     max_ring_size: int = 64
     max_ideals: int = 4096
-    max_points: int = 24
+    max_points: int = 64
     max_closed_sets: int = 100_000
     max_hom_product: int = 4096  # cap on |R| * |R'| for hom enumeration
 

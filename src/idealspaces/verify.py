@@ -9,6 +9,11 @@ Witness selection is deterministic: ideals are searched largest-first, in
 ``witness_indices`` order, so identical configurations produce identical
 reports.  Point membership is a bit of the spectrum's kind row.
 
+Every check starts from ``_ctx``: the (ring, kind) spectrum and its lattice.
+Only the checks that read the point order as a space (T05, T08-T17, T20 and
+T23) build the topology, with ``generate_topology``, so the ``max_points`` cap
+refuses only them; the others read the spectrum's tables whatever its size.
+
 The contraction checks T18-T22 share one record per (hom, kind),
 ``HomView.at``: the source point of each target point, their mask and the
 target spectrum, whose hull table they compare against.  No target topology
@@ -83,7 +88,7 @@ DEFAULT_SUITE_EXPRS = ("Z2", "Z4", "Z6", "Z8", "Z12", "Z36",
 
 def _ctx(ring, kind, caps):
     spec = make_spectrum(ring, kind, caps)
-    return spec.lattice, spec, generate_topology(spec, caps)
+    return spec.lattice, spec
 
 
 @dataclass(frozen=True)
@@ -216,7 +221,7 @@ def _vac(check, notes=""):
 
 
 def _run_t01(R, kind, caps):
-    lat, spec, _T = _ctx(R, kind, caps)
+    lat, spec = _ctx(R, kind, caps)
     L = lat.ideals
     hulls = spec.hulls
     full = spec.full_mask
@@ -297,7 +302,7 @@ def _run_t01(R, kind, caps):
 
 
 def _run_t02(R, kind, caps):
-    lat, spec, _T = _ctx(R, kind, caps)
+    lat, spec = _ctx(R, kind, caps)
     hulls, rad = spec.hulls, lat.radical
     side_all = all(hulls[i] == hulls[rad[i]] for i in range(len(lat)))
     side_pts = all(hulls[i] == hulls[rad[i]] for i in spec.lattice_indices)
@@ -314,7 +319,7 @@ def _run_t02(R, kind, caps):
 
 
 def _run_t03(R, kind, caps):
-    lat, spec, _T = _ctx(R, kind, caps)
+    lat, spec = _ctx(R, kind, caps)
     mip = check_mip(spec)
     kur_ok, kur_wit = kuratowski_union_axiom(spec)
     notes = [f"mip {'holds' if mip.holds else 'fails'}",
@@ -347,7 +352,7 @@ def _run_t03(R, kind, caps):
 
 
 def _run_t04(R, kind, caps):
-    lat, spec, _T = _ctx(R, kind, caps)
+    lat, spec = _ctx(R, kind, caps)
     pts = set(spec.lattice_indices)
     side_eq = set(spec.kernel_image) - {len(lat) - 1} == pts
     meet = lat.meet[np.ix_(spec.lattice_indices, spec.lattice_indices)]
@@ -365,7 +370,8 @@ def _run_t04(R, kind, caps):
 
 
 def _run_t05(R, kind, caps):
-    lat, spec, T = _ctx(R, kind, caps)
+    lat, spec = _ctx(R, kind, caps)
+    T = generate_topology(spec, caps)
     kur_ok, _ = kuratowski_union_axiom(spec)
     hk_family = {spec.hulls[i] for i in spec.kernel_image}
     # {hk(S)} is a closed base iff every closed set is the meet of the hk sets
@@ -389,7 +395,7 @@ def _run_t05(R, kind, caps):
 
 
 def _run_t06(R, kind, caps):
-    lat, spec, _T = _ctx(R, kind, caps)
+    lat, spec = _ctx(R, kind, caps)
     L, masks, leq = lat.ideals, lat.masks, lat.leq
     hulls, xr, rad = spec.hulls, spec.x_radicals, lat.radical
     order = lat.witness_indices
@@ -443,7 +449,7 @@ def _lowest(mask):
 
 
 def _run_t07(R, kind, caps):
-    lat, spec, _T = _ctx(R, kind, caps)
+    lat, spec = _ctx(R, kind, caps)
     triple = _meet_inclusion_failure(spec, lat.witness_indices)
     if triple:
         a, b, s = (w_ideal(lat.ideals[i]) for i in triple)
@@ -464,7 +470,8 @@ def _run_t07(R, kind, caps):
 
 
 def _run_t08(R, kind, caps):
-    lat, spec, T = _ctx(R, kind, caps)
+    lat, spec = _ctx(R, kind, caps)
+    T = generate_topology(spec, caps)
     t1 = is_t1(T)
     max_row = lat.kind_rows[SpectrumKind.MAX]
     non_max = [i for i in spec.witness_indices if not max_row >> i & 1]
@@ -485,7 +492,8 @@ def _run_t08(R, kind, caps):
 
 
 def _run_t09(R, kind, caps):
-    lat, spec, T = _ctx(R, kind, caps)
+    lat, spec = _ctx(R, kind, caps)
+    T = generate_topology(spec, caps)
     t0 = is_t0(T)
     # independent route: some closed set separates each pair.  The closure of
     # i is the smallest closed set holding i, so one exists iff the closure
@@ -507,7 +515,8 @@ def _run_t09(R, kind, caps):
 
 
 def _run_t10(R, kind, caps):
-    lat, spec, T = _ctx(R, kind, caps)
+    lat, spec = _ctx(R, kind, caps)
+    T = generate_topology(spec, caps)
     sober = is_sober(T)
     irr = irreducible_closed_sets(T)
     irr_masks = {ps.mask for ps, _g in irr}
@@ -551,7 +560,8 @@ def _run_t10(R, kind, caps):
 
 
 def _run_t11(R, kind, caps):
-    lat, spec, T = _ctx(R, kind, caps)
+    lat, spec = _ctx(R, kind, caps)
+    T = generate_topology(spec, caps)
     irr_masks = {ps.mask for ps, _g in irreducible_closed_sets(T)}
     for k in spec.witness_indices:
         p, hma, i = lat.ideals[k], spec.hulls[k], spec.point_positions[k]
@@ -573,7 +583,8 @@ def _run_t11(R, kind, caps):
 
 
 def _run_t12(R, kind, caps):
-    lat, spec, T = _ctx(R, kind, caps)
+    lat, spec = _ctx(R, kind, caps)
+    T = generate_topology(spec, caps)
     irr_masks = {ps.mask for ps, _g in irreducible_closed_sets(T)}
     for i in lat.witness_indices:
         m = spec.hulls[i]
@@ -588,7 +599,8 @@ def _run_t12(R, kind, caps):
 
 
 def _run_t13(R, kind, caps):
-    lat, spec, T = _ctx(R, kind, caps)
+    lat, spec = _ctx(R, kind, caps)
+    T = generate_topology(spec, caps)
     # Every base set is the union of the closures h(p) of its points, and ∩
     # distributes over ∪, so ∪h(aᵢ) ∩ ∪h(bⱼ) = ∪h(aᵢ+bⱼ) holds for all base
     # pairs iff h(p) ∩ h(q) = h(p+q) holds for all point pairs; the base, the
@@ -632,7 +644,8 @@ def _hypotheses_pr1(R, spec, T, caps):
 
 
 def _run_t14(R, kind, caps):
-    lat, spec, T = _ctx(R, kind, caps)
+    lat, spec = _ctx(R, kind, caps)
+    T = generate_topology(spec, caps)
     pair, why = _hypotheses_pr1(R, spec, T, caps)
     if pair is None:
         return _vac("T14", notes=why)
@@ -649,7 +662,8 @@ def _run_t14(R, kind, caps):
 
 
 def _run_t15(R, kind, caps):
-    lat, spec, T = _ctx(R, kind, caps)
+    lat, spec = _ctx(R, kind, caps)
+    T = generate_topology(spec, caps)
     pair, why = _hypotheses_pr1(R, spec, T, caps)
     if pair is None:
         return _vac("T15", notes=why)
@@ -675,7 +689,8 @@ def _run_t15(R, kind, caps):
 
 
 def _run_t16(R, kind, caps):
-    lat, spec, T = _ctx(R, kind, caps)
+    lat, spec = _ctx(R, kind, caps)
+    T = generate_topology(spec, caps)
     conn = is_connected(T)
     if not spec.row & 1:  # o, lattice index 0, is not a point
         note = "o not a point; hypothesis unsatisfied"
@@ -694,7 +709,8 @@ def _run_t16(R, kind, caps):
 def _run_t17(R, kind, caps):
     if R.components is None or len(R.components) < 2:
         return _vac("T17", notes="not a product ring; example does not instantiate")
-    lat, spec, T = _ctx(R, kind, caps)
+    lat, spec = _ctx(R, kind, caps)
+    T = generate_topology(spec, caps)
     if len(jacobson_radical(R, caps).members) != 1:
         return _vac("T17", notes="Jacobson radical nonzero")
     nontrivial = [x for x in R.idempotents if x not in (R.zero, R.one)]
@@ -753,7 +769,7 @@ def _embedding_failure(big, bits, small):
 
 
 def _run_t18(R, kind, caps):
-    lat, spec, _T = _ctx(R, kind, caps)
+    lat, spec = _ctx(R, kind, caps)
     gated = [(v, c) for v in _hom_views(R, caps) if (c := v.at(kind, caps))]
     for v, c in gated:
         # h(a) must pull back to the target hull h(⟨f(a)⟩), an up-set, so the
@@ -768,7 +784,7 @@ def _run_t18(R, kind, caps):
 
 
 def _run_t19(R, kind, caps, quotients_only=False, check_id="T19"):
-    lat, spec, _T = _ctx(R, kind, caps)
+    lat, spec = _ctx(R, kind, caps)
     gated = [(v, c) for v in _hom_views(R, caps)
              if not (quotients_only and v.mult_set is not None) and (c := v.at(kind, caps))]
     for v, c in gated:
@@ -792,7 +808,8 @@ def _run_t19(R, kind, caps, quotients_only=False, check_id="T19"):
 
 
 def _run_t20(R, kind, caps):
-    lat, spec, T = _ctx(R, kind, caps)
+    lat, spec = _ctx(R, kind, caps)
+    T = generate_topology(spec, caps)
     k_full = reduce(and_, (lat.masks[i] for i in spec.lattice_indices))  # ∩X
     gated = [(v, c) for v in _hom_views(R, caps) if (c := v.at(kind, caps))]
     for v, c in gated:
@@ -808,7 +825,7 @@ def _run_t20(R, kind, caps):
 
 
 def _run_t21(R, kind, caps):
-    lat, spec, _T = _ctx(R, kind, caps)
+    lat, spec = _ctx(R, kind, caps)
     gated = [(v, c) for v in _hom_views(R, caps)
              if v.mult_set is not None and (c := v.at(kind, caps))]
     for v, c in gated:
@@ -841,7 +858,8 @@ def _run_t22(R, kind, caps):
 
 
 def _run_t23(R, kind, caps):
-    lat, spec, T = _ctx(R, kind, caps)
+    lat, spec = _ctx(R, kind, caps)
+    T = generate_topology(spec, caps)
     pou = has_partition_of_unity(spec)
     missing = lat.kind_rows[SpectrumKind.MAX] & ~spec.row
     contains_max = not missing
@@ -867,7 +885,7 @@ _T24_KINDS = frozenset({SpectrumKind.MIN, SpectrumKind.PRP, SpectrumKind.PRN,
 
 
 def _run_t24(R, kind, caps):
-    lat, spec, _T = _ctx(R, kind, caps)
+    lat, spec = _ctx(R, kind, caps)
     mip = check_mip(spec)
     notes = []
     # The notes name the paper's two examples by ring label, the one place a

@@ -414,10 +414,25 @@ class TestRaisedCaps:
         text = "".join(r.to_json() + "\n" for r in records)
         assert hashlib.sha256(text.encode()).hexdigest() == self.DIGESTS[expr]
 
+    @pytest.mark.parametrize("expr", sorted(DIGESTS))
+    def test_default_caps_give_the_scan_digests(self, expr):
+        """The default caps admit every spectrum of these rings, so the
+        default report is the raised-cap one the scans certify."""
+        records = run_suite(SuiteConfig(ring_exprs=(expr,), caps=DEFAULT_CAPS))
+        assert not [r for r in records if r.status == "error"]
+        text = "".join(r.to_json() + "\n" for r in records)
+        assert hashlib.sha256(text.encode()).hexdigest() == self.DIGESTS[expr]
+
     def test_sixty_three_points_run_without_errors(self):
         # 63 points, whose closed family has M(6) - 1 = 7,828,353 up-sets
         records = run_suite(SuiteConfig(ring_exprs=("Z2xZ2xZ2xZ2xZ2xZ2",),
                                         caps=Caps(max_points=64)))
+        assert len(records) == 310
+        assert not [r for r in records if r.status == "error"]
+        assert {r.id for r in records} == set(ALL_CHECK_IDS)
+
+    def test_sixty_three_points_run_without_errors_at_default_caps(self):
+        records = run_suite(SuiteConfig(ring_exprs=("Z2xZ2xZ2xZ2xZ2xZ2",)))
         assert len(records) == 310
         assert not [r for r in records if r.status == "error"]
         assert {r.id for r in records} == set(ALL_CHECK_IDS)
