@@ -17,9 +17,9 @@ which skips that check; each says why its result is an ideal.
 
 Rings compare by identity and are immutable after construction, so they are
 safe to share.  Structures derived from a ring (its ideal lattice, spectra
-with their topologies, and canonical hom views) are cached in the ring's own
-``_derived`` dict rather than in module-level maps, so they are freed
-together with it.
+with their topologies, canonical hom views, and whether it is von Neumann
+regular) are cached in the ring's own ``_derived`` dict rather than in
+module-level maps, so they are freed together with it.
 """
 
 from __future__ import annotations
@@ -595,6 +595,11 @@ def is_isomorphic(R, S, caps=DEFAULT_CAPS):
 
 
 def is_von_neumann_regular(R):
-    """Every a admits x with a = a*x*a; finite cases are products of fields."""
-    mul = R.mul_rows
-    return all(any(mul[mul[a][x]][a] == a for x in R.elements) for a in R.elements)
+    """Every a admits x with a = a*x*a; finite cases are products of fields.
+    Asked once per ring: the answer is kept in ``R._derived``."""
+    regular = R._derived.get("regular")
+    if regular is None:
+        mul = R.mul_rows
+        regular = R._derived["regular"] = all(
+            any(mul[mul[a][x]][a] == a for x in R.elements) for a in R.elements)
+    return regular

@@ -18,6 +18,10 @@ The contraction checks T18-T22 share one record per (hom, kind),
 ``HomView.at``: the source point of each target point, their mask and the
 target spectrum, whose hull table they compare against.  No target topology
 is built: the point order the embedding test reads is ``Spectrum.above``.
+T18's pull-back law on a kind is the restriction of one kind-free identity,
+the adjunction a ⊆ f⁻¹(b) ⟺ ⟨f(a)⟩ ⊆ b, to the kind's target points, so it
+is decided once per hom by ``HomView.adjoint_misses``; only a view whose
+restriction fails runs the per-ideal loop that names the witness.
 """
 
 from __future__ import annotations
@@ -110,12 +114,24 @@ class HomView:
       ideal b of the target lattice;
     - ``pushed[i]`` is the target lattice index of ⟨f(a)⟩ for the i-th ideal
       a of the source lattice;
-    - ``kernel`` is ker f, an ideal of R.
+    - ``kernel`` is ker f, an ideal of R;
+    - ``adjoint_misses`` is the mask of the target lattice indices b at
+      which some source ideal a has (a ⊆ f⁻¹(b)) ≠ (⟨f(a)⟩ ⊆ b), that is,
+      where the Galois adjunction a ⊆ f⁻¹(b) ⟺ ⟨f(a)⟩ ⊆ b (Ore 1944) fails.
+      It compares the source inclusion matrix at the columns ``contract``
+      with the target one at the rows ``pushed``; each lattice is built
+      from its own ring, so no target table is derived through ``contract``.
 
     These depend on f and the two lattices alone, not on a spectrum kind, so
-    they are built once per hom.  ``at(kind, caps)`` adds the kind: the
-    ``Contraction`` of f on it, built once per (hom, kind), or None when some
-    f⁻¹(b) is not a point of X(R), i.e. when the contraction property fails.
+    they are built once per hom.  T18's law (f*)⁻¹(h(a)) = h(⟨f(a)⟩) on a
+    kind asks, at each target point b, whether the source point f⁻¹(b)
+    contains a exactly when b contains ⟨f(a)⟩: the adjunction restricted to
+    the columns b that are points of that kind.  It therefore fails exactly
+    when ``adjoint_misses`` meets the target spectrum's kind row.
+
+    ``at(kind, caps)`` adds the kind: the ``Contraction`` of f on it, built
+    once per (hom, kind), or None when some f⁻¹(b) is not a point of X(R),
+    i.e. when the contraction property fails.
     Every canonical hom is onto: a quotient map, or r -> e·r onto eR = R_S.
     """
 
@@ -152,6 +168,15 @@ class HomView:
                 image |= 1 << f.map[x]
             out.append(tgt.smallest_containing(image))
         return tuple(out)
+
+    @cached_property
+    def adjoint_misses(self):
+        f = self.hom
+        src = enumerate_ideals(f.source, self.caps).leq
+        tgt = enumerate_ideals(f.target, self.caps).leq
+        # [a, b]: a ⊆ f⁻¹(b) against ⟨f(a)⟩ ⊆ b
+        bad = (src[:, list(self.contract)] != tgt[list(self.pushed)]).any(axis=0)
+        return sum(1 << int(b) for b in np.flatnonzero(bad))
 
     def at(self, kind, caps):
         if kind not in self._at:
@@ -417,20 +442,26 @@ def _run_t06(R, kind, caps):
     for i in range(len(L)):
         if hulls[xr[i]] != hulls[i]:
             return _fail("T06", {"part": "h(√[X]a) = h(a)", "a": w_ideal(L[i])})
-    for i in range(len(L)):
-        for j in range(len(L)):
-            if (hulls[i] & ~hulls[j] == 0) != leq[xr[j], xr[i]]:
-                return _fail("T06", {"part": "h(a)⊆h(b) ⟺ √[X]b⊆√[X]a",
-                                     "a": w_ideal(L[i]), "b": w_ideal(L[j])})
+    # h(a) ⊆ h(b) iff no point holds a but not b, iff the boolean product
+    # H·¬Hᵀ is false at (a, b); each law compares that matrix with an
+    # inclusion matrix, and the first failing (a, b) is the first mismatch
+    # in row-major order
+    H = _bit_matrix(hulls, len(spec))  # H[i, j]: a_i ⊆ point j
+    hsub = ~(H @ ~H.T)                 # hsub[i, j]: h(a_i) ⊆ h(a_j)
+    bad = np.flatnonzero(hsub != leq[np.ix_(xr, xr)].T)
+    if bad.size:
+        i, j = divmod(int(bad[0]), len(L))
+        return _fail("T06", {"part": "h(a)⊆h(b) ⟺ √[X]b⊆√[X]a",
+                             "a": w_ideal(L[i]), "b": w_ideal(L[j])})
     if is_von_neumann_regular(R):
-        for i in order:
-            for j in order:
-                if (hulls[i] & ~hulls[j] == 0) != leq[j, i]:
-                    return _fail(
-                        "T06",
-                        {"part": "regular ring: h(a)⊆h(b) ⟺ b⊆a",
-                         "a": w_ideal(L[i]), "b": w_ideal(L[j])},
-                        notes="fails when some proper ideal has an empty hull")
+        bad = np.flatnonzero((hsub != leq.T)[np.ix_(order, order)])
+        if bad.size:
+            i, j = divmod(int(bad[0]), len(order))
+            return _fail(
+                "T06",
+                {"part": "regular ring: h(a)⊆h(b) ⟺ b⊆a",
+                 "a": w_ideal(L[order[i]]), "b": w_ideal(L[order[j]])},
+                notes="fails when some proper ideal has an empty hull")
         notes.append("regular-ring criterion checked")
     else:
         notes.append("ring not von Neumann regular; regular-ring part skipped")
@@ -773,7 +804,12 @@ def _run_t18(R, kind, caps):
     gated = [(v, c) for v in _hom_views(R, caps) if (c := v.at(kind, caps))]
     for v, c in gated:
         # h(a) must pull back to the target hull h(⟨f(a)⟩), an up-set, so the
-        # map is continuous: the closed sets are the unions of the h(a)
+        # map is continuous: the closed sets are the unions of the h(a).  The
+        # law is the per-hom adjunction restricted to this kind's target
+        # points, so only a view whose restriction fails runs the loop that
+        # names the first failing ideal.
+        if not v.adjoint_misses & c.target.row:
+            continue
         for i, a in enumerate(lat.ideals):
             if _pull_back(spec.hulls[i], c.bits) != c.target.hulls[v.pushed[i]]:
                 return _fail("T18", {"hom": v.hom.label, "a": w_ideal(a),

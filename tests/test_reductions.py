@@ -6,12 +6,16 @@ index table.  The scans are kept here as references, run over the up-sets
 from ``oracles.up_set_family`` and the kernel image from
 ``oracles.kernel_image_closure``, and compared, status and witness, with the
 library on every suite space of at most 16 points and on every space of
-``Z2xZ2xZ2xZ2``.
+``Z2xZ2xZ2xZ2``.  T06's two pair laws, each one boolean-matrix compare, and
+T18, decided by each hom's adjunction table, are compared with the per-pair
+and per-point loops, kept here as references.
 """
 
 import hashlib
+from collections import Counter
 from functools import lru_cache
 
+import numpy as np
 import pytest
 
 from conftest import get_ring
@@ -31,8 +35,10 @@ from idealspaces import (
     is_connected,
     is_t0,
     is_t1,
+    is_von_neumann_regular,
     kuratowski_union_axiom,
     make_spectrum,
+    parse_ring_expression,
     run_check,
     run_suite,
     strongly_disconnects,
@@ -41,7 +47,7 @@ from idealspaces.reports import FAILS, HOLDS, VACUOUS, VerdictReport, w_ideal, w
 from idealspaces.rings import Ideal
 from idealspaces.spectra import PointSet
 from idealspaces.topology import TopologySpace
-from idealspaces.verify import _hom_views
+from idealspaces.verify import HomView, _hom_views
 from oracles import kernel_image_closure, up_set_family
 
 
@@ -436,3 +442,161 @@ class TestRaisedCaps:
         assert len(records) == 310
         assert not [r for r in records if r.status == "error"]
         assert {r.id for r in records} == set(ALL_CHECK_IDS)
+
+
+# ---------------------------------------------------------------------------
+# T06 against its pair loops
+
+
+def _scalar_t06(R, kind):
+    """T06 with both pair laws as double loops over the lattice indices."""
+    spec = make_spectrum(R, kind)
+    lat = spec.lattice
+    L, masks, leq = lat.ideals, lat.masks, lat.leq
+    hulls, xr, rad = spec.hulls, spec.x_radicals, lat.radical
+    order = lat.witness_indices
+    notes = []
+    for i in order:
+        if masks[i] & ~masks[xr[i]]:
+            return VerdictReport("T06", FAILS, {"part": "a ⊆ √[X]a", "a": w_ideal(L[i])})
+        if masks[xr[i]] & ~masks[rad[i]]:
+            return VerdictReport(
+                "T06", FAILS,
+                {"part": "√[X]a ⊆ √a", "a": w_ideal(L[i]),
+                 "x_radical": w_ideal(L[xr[i]]), "radical": w_ideal(L[rad[i]])},
+                notes="h(a) is empty for a proper ideal, so √[X]a = R overshoots √a; "
+                      "holds exactly when the spectrum has the partition-of-unity property")
+    for i in spec.lattice_indices:
+        if xr[i] != i:
+            return VerdictReport("T06", FAILS, {"part": "a ∈ X ⟹ √[X]a = a", "a": w_ideal(L[i])})
+    for i in range(len(L)):
+        if hulls[xr[i]] != hulls[i]:
+            return VerdictReport("T06", FAILS, {"part": "h(√[X]a) = h(a)", "a": w_ideal(L[i])})
+    for i in range(len(L)):
+        for j in range(len(L)):
+            if (hulls[i] & ~hulls[j] == 0) != leq[xr[j], xr[i]]:
+                return VerdictReport("T06", FAILS, {"part": "h(a)⊆h(b) ⟺ √[X]b⊆√[X]a",
+                                                    "a": w_ideal(L[i]), "b": w_ideal(L[j])})
+    if is_von_neumann_regular(R):
+        for i in order:
+            for j in order:
+                if (hulls[i] & ~hulls[j] == 0) != leq[j, i]:
+                    return VerdictReport(
+                        "T06", FAILS,
+                        {"part": "regular ring: h(a)⊆h(b) ⟺ b⊆a",
+                         "a": w_ideal(L[i]), "b": w_ideal(L[j])},
+                        notes="fails when some proper ideal has an empty hull")
+        notes.append("regular-ring criterion checked")
+    else:
+        notes.append("ring not von Neumann regular; regular-ring part skipped")
+    if set(hulls) != {hulls[i] for i in spec.kernel_image}:
+        return VerdictReport("T06", FAILS, {"part": "C_h = C_hk"})
+    return VerdictReport("T06", HOLDS, notes="; ".join(notes))
+
+
+class TestT06:
+    def test_matrix_compares_match_the_loops(self):
+        exprs = DEFAULT_SUITE_EXPRS + ("Z2xZ2xZ2xZ2", "Z2xZ2xZ2xZ2xZ2")
+        outcomes = Counter()
+        for R in map(get_ring, exprs):
+            for kind in ALL_KINDS:
+                if not make_spectrum(R, kind).points:
+                    continue
+                rep, ref = run_check("T06", R, kind), _scalar_t06(R, kind)
+                assert (rep.status, rep.witness, rep.notes) == \
+                    (ref.status, ref.witness, ref.notes), (R.label, kind)
+                outcomes[rep.status, (rep.witness or {}).get("part")] += 1
+        # no real instance reaches a failing pair law: the tests below do
+        assert set(outcomes) == {(HOLDS, None), (FAILS, "√[X]a ⊆ √a")}
+
+    def test_a_wrong_x_radical_pins_the_first_failing_pair(self):
+        # √[X]⟨4⟩ = ⟨2⟩ on the prime spectrum of Z12; ⟨4⟩ lies between ⟨4⟩
+        # and √⟨4⟩ and has the same hull, so only the order law can see it,
+        # first at b = o: h(⟨4⟩) ⊆ h(o) but √[X]o = ⟨6⟩ ⊄ ⟨4⟩
+        R = parse_ring_expression("Z12")
+        spec = make_spectrum(R, "spc")
+        lat = spec.lattice
+        four = next(i for i, a in enumerate(lat.ideals) if a.name == "⟨4⟩")
+        xr = list(spec.x_radicals)
+        assert lat.ideals[xr[four]].name == "⟨2⟩"
+        xr[four] = four
+        spec.x_radicals = tuple(xr)
+        rep = run_check("T06", R, "spc")
+        assert rep == _scalar_t06(R, "spc")
+        assert rep.witness == {"part": "h(a)⊆h(b) ⟺ √[X]b⊆√[X]a",
+                               "a": w_ideal(lat.ideals[four]), "b": w_ideal(lat.ideals[0])}
+
+    def test_a_wrong_radical_table_pins_the_regular_law(self):
+        # on a regular ring √[X]a ⊆ √a = a makes the regular law the order
+        # law, so it fails only where √[X]a ⊆ √a fails first (a proper ideal
+        # with an empty hull); a radical table of R everywhere lets it through
+        R = parse_ring_expression("Z2xZ2xZ2")
+        lat = make_spectrum(R, "min").lattice  # kind rows read the true table
+        lat.__dict__["radical"] = np.full(len(lat), len(lat) - 1)
+        rep = run_check("T06", R, "min")
+        assert rep == _scalar_t06(R, "min")
+        assert rep.witness == {"part": "regular ring: h(a)⊆h(b) ⟺ b⊆a",
+                               "a": w_ideal(next(a for a in lat.ideals if a.name == "⟨(1,1,0)⟩")),
+                               "b": w_ideal(lat.ideals[-1])}
+
+
+# ---------------------------------------------------------------------------
+# T18 against its per-point loop
+
+
+def _loop_t18(R, kind):
+    """T18 as the per-point loop over every gated view and source ideal a:
+    the pull-back of h(a) through the contraction against the hull of
+    ⟨f(a)⟩."""
+    spec = make_spectrum(R, kind)
+    gated = [(v, c) for v in _hom_views(R, DEFAULT_CAPS) if (c := v.at(kind, DEFAULT_CAPS))]
+    for v, c in gated:
+        for i, a in enumerate(spec.lattice.ideals):
+            pulled = sum(1 << j for j, b in enumerate(c.bits) if spec.hulls[i] >> b & 1)
+            if pulled != c.target.hulls[v.pushed[i]]:
+                return FAILS, {"hom": v.hom.label, "a": w_ideal(a),
+                               "part": "(f*)⁻¹(h(a)) = h(⟨f(a)⟩)"}
+    return (HOLDS if gated else VACUOUS), None
+
+
+class TestT18AdjointTable:
+    """Every real instance holds T18, so a table that never reports a miss
+    would pass every reference; a wrong ``pushed`` or ``contract`` entry,
+    written before anything reads it, must fail where the loop fails."""
+
+    @pytest.mark.parametrize("table", ["pushed", "contract"])
+    @pytest.mark.parametrize("view", [0, 1])  # R -> R/o, R -> R/a for the next ideal a
+    @pytest.mark.parametrize("expr", ["Z12", "Z6xZ6", "Z2xZ2xZ2xZ2"])
+    def test_a_wrong_entry_fails_where_the_loop_fails(self, expr, view, table):
+        R = parse_ring_expression(expr)  # fresh: no view has built a table
+        v = _hom_views(R, DEFAULT_CAPS)[view]
+        entries = list(getattr(v, table))
+        entries[1] = 0 if entries[1] else 1
+        setattr(v, table, tuple(entries))
+        outcomes = set()
+        for kind in ALL_KINDS:
+            if not make_spectrum(R, kind).points:
+                continue
+            rep = run_check("T18", R, kind)
+            assert (rep.status, rep.witness) == _loop_t18(R, kind), kind
+            gated = v.at(kind, DEFAULT_CAPS) is not None
+            outcomes.add((rep.status, gated))
+        assert (FAILS, True) in outcomes
+        if table == "contract":
+            # the wrong column is not a point of every kind
+            assert v.adjoint_misses and (HOLDS, True) in outcomes
+
+    def test_each_table_is_built_once_per_hom(self, monkeypatch):
+        built = Counter()
+        prop = HomView.__dict__["adjoint_misses"]
+        build = prop.func
+        monkeypatch.setattr(prop, "func", lambda v: built.update([id(v)]) or build(v))
+        R = parse_ring_expression("Z6xZ6")
+        kinds = [k for k in ALL_KINDS if make_spectrum(R, k).points]
+        assert len(kinds) > 1
+        for kind in kinds:
+            run_check("T18", R, kind)
+        views = _hom_views(R, DEFAULT_CAPS)
+        gated = {id(v) for v in views if any(v.at(k, DEFAULT_CAPS) for k in kinds)}
+        assert gated and set(built) == gated
+        assert set(built.values()) == {1}
