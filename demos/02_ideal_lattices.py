@@ -1,7 +1,7 @@
 """Ideal lattices and the fifteen spectrum kinds.
 
-enumerate_ideals closes the principal ideals under pairwise sums; the result
-is the complete lattice (the test suite certifies this against a brute-force
+enumerate_ideals closes the principal ideals under adding a principal ideal,
+on element bitmasks; the result is the complete lattice (the test suite certifies this against a brute-force
 subset filter).  classify() sorts every ideal into the spectrum kinds.
 """
 

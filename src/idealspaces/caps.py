@@ -2,10 +2,12 @@
 
 Every exhaustive enumeration in the package is bounded by an explicit cap and
 raises :class:`~idealspaces.errors.CapExceeded` instead of truncating.  The
-defaults admit rings of up to 64 elements and spectra of up to 64 points.  A
-ring built from an expression (products, quotients and localizations of Z/n)
-has no more ideals than elements, so within the ring-size cap none goes past
-the point cap.  An instance past a cap becomes an ``error`` record in the
+defaults admit rings of up to 64 elements and spectra of up to 64 points.
+Every ring built from an expression (products, quotients and localizations
+of Z/n) is a principal ideal ring, so it has no more ideals than elements and
+within the ring-size cap no spectrum goes past the point cap.  Other rings
+may have more ideals than elements: F2[x1..x4]/m², built from tables, has 32
+elements and 68 ideals.  An instance past a cap becomes an ``error`` record in the
 suite report.  ``max_points`` guards only the topology (``generate_topology``), so it limits
 only the checks that read one.  ``max_closed_sets`` guards only the displayed
 closed family (``TopologySpace.closed_masks``), which no check enumerates.

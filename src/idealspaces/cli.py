@@ -140,7 +140,7 @@ def _cmd_ideals(ns, out, caps):
         for a in lat.ideals:
             tags = [k.value for k in ALL_KINDS if a.proper and classify(a, k, caps)]
             label = _ascii(a.name, ns.ascii)
-            out(f"  {label:<16} |{len(a.members):>3} elements | {','.join(tags)}")
+            out(f"  {label:<16} |{len(a):>3} elements | {','.join(tags)}")
     return 0
 
 

@@ -1,8 +1,9 @@
 """Ideal lattices: enumeration, arithmetic, and spectrum-kind classification.
 
 The lattice of a ring is computed once and cached on the ring itself, as the
-closure of all principal ideals under pairwise sums.  Its arithmetic (sum,
-meet, product, radical) is kept as tables of lattice indices, and the fifteen
+closure of the principal ideals under adding a principal ideal, and is stored
+as the element masks of its ideals.  Its arithmetic (sum, meet, product,
+radical) is kept as tables of lattice indices, and the fifteen
 spectrum kinds as one bit row each (``IdealLattice.kind_rows``), computed
 together in one pass over those tables; ``classify`` is a lookup in a row.
 The tests certify the enumeration against a subset-filter oracle and every
@@ -14,12 +15,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, reduce
+from operator import and_
 
 import numpy as np
 
 from .caps import DEFAULT_CAPS
 from .errors import CapExceeded, MixedRings
-from .rings import FiniteRing, RingHom, _span, _sum_members, _trusted_ideal
+from .rings import FiniteRing, RingHom, _bits, _mask, _span, _sum_mask, _trusted_ideal
 
 
 def generate_ideal(R, gens):
@@ -31,10 +33,11 @@ def generate_ideal(R, gens):
 class IdealLattice:
     """All ideals of one ring, canonically ordered (o first, R last).
 
-    An ideal is addressed by its lattice index; ``masks[i]`` is the element
-    bitmask of ``ideals[i]`` and ``leq[i, j]`` is True iff ideals[i] <=
-    ideals[j].  The arithmetic of the lattice is kept as lazy tables of
-    lattice indices, each computed on first use:
+    An ideal is addressed by its lattice index and stored as its element
+    bitmask ``masks[i]``; ``ideals[i]`` is the ``Ideal`` with that mask and
+    ``leq[i, j]`` is True iff ideals[i] <= ideals[j].  The arithmetic of the
+    lattice is kept as lazy tables of lattice indices, each computed on first
+    use:
 
     - ``sum[i, j]`` is a_i + a_j, the join: the first ideal in canonical
       order that contains both (every other upper bound contains the join,
@@ -49,11 +52,10 @@ class IdealLattice:
     """
 
     ring: FiniteRing
-    ideals: tuple
-    leq: np.ndarray
+    masks: tuple
 
     def __len__(self):
-        return len(self.ideals)
+        return len(self.masks)
 
     @property
     def proper(self):
@@ -63,14 +65,18 @@ class IdealLattice:
         """Lattice index of an ideal of this ring."""
         return self.mask_index[a.mask]
 
-    def __post_init__(self):
-        masks = tuple(a.mask for a in self.ideals)
-        object.__setattr__(self, "masks", masks)
-        object.__setattr__(self, "mask_index", {m: i for i, m in enumerate(masks)})
+    @cached_property
+    def ideals(self):
+        return tuple(_trusted_ideal(self.ring, m) for m in self.masks)
 
-    def smallest_containing(self, mask):
-        """Index of the ideal generated by the elements of an element mask."""
-        return next(i for i, m in enumerate(self.masks) if mask & ~m == 0)
+    @cached_property
+    def mask_index(self):
+        return {m: i for i, m in enumerate(self.masks)}
+
+    @cached_property
+    def leq(self):
+        # a_i ⊄ a_j iff some element lies in a_i and outside a_j
+        return ~(self.inside @ ~self.inside.T)
 
     @cached_property
     def sum(self):
@@ -89,10 +95,7 @@ class IdealLattice:
     @cached_property
     def inside(self):
         """``inside[i, x]`` is True iff element x lies in ideals[i]."""
-        inside = np.zeros((len(self.ideals), self.ring.size), dtype=bool)
-        for i, a in enumerate(self.ideals):
-            inside[i, list(a.members)] = True
-        return inside
+        return _bit_matrix(self.masks, self.ring.size)
 
     @cached_property
     def product(self):
@@ -105,16 +108,7 @@ class IdealLattice:
 
     @cached_property
     def radical(self):
-        powers = []  # powers[x]: element mask of {x^k : k >= 1}
-        for x, row in enumerate(self.ring.mul_rows):
-            m, p = 0, x
-            while not m >> p & 1:
-                m |= 1 << p
-                p = row[p]
-            powers.append(m)
-        return np.array([
-            self.mask_index[_elements_mask(x for x, pw in enumerate(powers) if pw & am)]
-            for am in self.masks])
+        return np.array([self.mask_index[_radical_mask(self.ring, m)] for m in self.masks])
 
     @cached_property
     def witness_indices(self):
@@ -146,7 +140,7 @@ class IdealLattice:
           PRP: a ≠ R; FGN: every ideal, R included.
         """
         R = self.ring
-        n = len(self.ideals)
+        n = len(self)
         idx = np.arange(n)
         leq, meet, rad = self.leq, self.meet, self.radical
         outside = ~self.inside
@@ -170,7 +164,7 @@ class IdealLattice:
         common = strict @ (~leq).T.astype(np.float32) == 0
         nb = ~leq  # nb[j, i]: a_j is not inside a_i
         prn = np.zeros(n, dtype=bool)
-        prn[[self.mask_index[_elements_mask(s)] for s in set(R.principal)]] = True
+        prn[[self.mask_index[m] for m in set(R.principal)]] = True
         regular = (R.mul == R.zero).sum(axis=1) == 1  # the non-zero-divisors
         rows = {
             SpectrumKind.SPC: spc,
@@ -196,43 +190,43 @@ class IdealLattice:
         return {kind: int.from_bytes(bits.tobytes(), "little") for kind, bits in zip(rows, packed)}
 
 
-def _elements_mask(elements):
-    m = 0
-    for x in elements:
-        m |= 1 << x
-    return m
+def _bit_matrix(masks, width):
+    """Bool matrix whose row r holds bits 0..width-1 of the int ``masks[r]``
+    (Python ints, so any width)."""
+    nbytes = max(1, (width + 7) // 8)
+    raw = np.frombuffer(b"".join(m.to_bytes(nbytes, "little") for m in masks),
+                        dtype=np.uint8).reshape(len(masks), nbytes)
+    return np.unpackbits(raw, axis=1, bitorder="little")[:, :width].astype(bool)
 
 
 def enumerate_ideals(R, caps=DEFAULT_CAPS):
     """The complete ideal lattice of R, built once and kept on the ring.
 
-    Closure of the principal ideals under pairwise sum; completeness rests on
-    every ideal being the sum of the principal ideals of its elements, and is
-    re-verified against an independent oracle in the tests.
+    The principal masks closed under adding a principal mask; completeness
+    rests on every ideal being the sum of the principal ideals of its
+    elements, and is re-verified against independent oracles in the tests.
     """
     cached = R._derived.get("lattice")
     if cached is not None:
         return _check_ideal_cap(cached, caps)
-    seen = set(R.principal)
-    if len(seen) > caps.max_ideals:
+    principal = set(R.principal)
+    if len(principal) > caps.max_ideals:
         raise CapExceeded(f"ideal count exceeds cap {caps.max_ideals}")
+    seen = set(principal)
     frontier = list(seen)
     while frontier:
         m = frontier.pop()
-        for other in list(seen):
-            s = _sum_members(R, m, other)
-            if s not in seen:
+        for p in principal:
+            if p & ~m and (s := _sum_mask(R, m, p)) not in seen:
                 if len(seen) >= caps.max_ideals:
                     raise CapExceeded(f"ideal count exceeds cap {caps.max_ideals}")
                 seen.add(s)
                 frontier.append(s)
-    ideals = tuple(sorted((_trusted_ideal(R, m) for m in seen), key=lambda a: a.sort_key))
-    n = len(ideals)
-    leq = np.zeros((n, n), dtype=bool)
-    for i, a in enumerate(ideals):
-        for j, b in enumerate(ideals):
-            leq[i, j] = a <= b
-    lattice = IdealLattice(R, ideals, leq)
+    # canonical order: size first, then the ascending element tuple, so that
+    # of two masks of one size the one holding the lowest bit of their XOR
+    # comes first
+    masks = sorted(seen, key=lambda m: (m.bit_count(), tuple(_bits(m))))
+    lattice = IdealLattice(R, tuple(masks))
     R._derived["lattice"] = lattice
     return lattice
 
@@ -246,7 +240,7 @@ def _check_ideal_cap(lattice, caps):
 
 def witness_order(ideals):
     """Canonical search order for witnesses: largest ideals first."""
-    return sorted(ideals, key=lambda a: (-len(a.members), tuple(sorted(a.members))))
+    return sorted(ideals, key=lambda a: (-len(a), tuple(_bits(a.mask))))
 
 
 # ---------------------------------------------------------------------------
@@ -262,55 +256,48 @@ def _same_ring(a, b):
 def ideal_sum(a, b):
     """a + b = {x + y : x in a, y in b}, an ideal because a and b are."""
     R = _same_ring(a, b)
-    return _trusted_ideal(R, _sum_members(R, a.members, b.members))
+    return _trusted_ideal(R, _sum_mask(R, a.mask, b.mask))
 
 
 def ideal_intersect(a, b):
     """Meet of two ideals; an intersection of ideals is an ideal."""
     R = _same_ring(a, b)
-    return _trusted_ideal(R, a.members & b.members)
+    return _trusted_ideal(R, a.mask & b.mask)
 
 
 def ideal_product(a, b):
     """The span of all products x*y, the smallest ideal containing them."""
     R = _same_ring(a, b)
     mul = R.mul_rows
-    prods = {mul[x][y] for x in a.members for y in b.members}
+    prods = {mul[x][y] for x in _bits(a.mask) for y in _bits(b.mask)}
     return _trusted_ideal(R, _span(R, prods))
 
 
+def _radical_mask(R, mask):
+    """{x : x^k in a for some k >= 1}, for the element mask of a."""
+    return _mask(x for x, pw in enumerate(R.powers) if pw & mask)
+
+
 def radical(a):
-    """{x : x^k in a for some k}; powers of an element cycle, so k <= |R|.
+    """{x : x^k in a for some k}, read off the ring's table of powers.
 
     The radical of an ideal is an ideal (the nilradical of R/a pulled back).
     """
-    R = a.ring
-    m = a.members
-    out = set()
-    for x, row in enumerate(R.mul_rows):
-        p = x
-        for _ in range(R.size):
-            if p in m:
-                out.add(x)
-                break
-            p = row[p]
-    return _trusted_ideal(R, frozenset(out))
+    return _trusted_ideal(a.ring, _radical_mask(a.ring, a.mask))
 
 
 def contraction(f: RingHom, b):
     """Preimage of an ideal of the target; always an ideal of the source."""
     if b.ring is not f.target:
         raise MixedRings("ideal does not belong to the hom's target")
-    m = b.members
-    return _trusted_ideal(f.source, frozenset(x for x, y in enumerate(f.map) if y in m))
+    return _trusted_ideal(f.source, f.preimage(b.mask))
 
 
 def jacobson_radical(R, caps=DEFAULT_CAPS):
     """Intersection of all maximal ideals, itself an ideal."""
     lat = enumerate_ideals(R, caps)
-    maxs = lat.maximal_ideals()
-    members = reduce(lambda m, a: m & a.members, maxs, frozenset(R.elements))
-    return _trusted_ideal(R, members)
+    maxs = [a.mask for a in lat.maximal_ideals()]
+    return _trusted_ideal(R, reduce(and_, maxs, (1 << R.size) - 1))
 
 
 # ---------------------------------------------------------------------------

@@ -10,10 +10,13 @@ the same tables as rows of Python ints (``add_rows``, ``mul_rows``), built
 lazily once per ring, because indexing numpy scalars inside Python loops is
 slow.
 
-``Ideal(R, members)`` validates the ideal axioms, so any set given from
-outside is checked.  Builders whose result is an ideal by construction (spans,
-sums, products, intersections, radicals, preimages) use ``_trusted_ideal``,
-which skips that check; each says why its result is an ideal.
+An ideal is stored as its element bitmask: bit x is set iff element x
+belongs.  Every builder (spans, sums, intersections, radicals, preimages)
+works on these ints, and ``Ideal.members`` derives the frozenset on first
+read, for the public API and the witnesses.  ``Ideal(R, members)`` validates
+the ideal axioms, so any set given from outside is checked.  Builders whose
+result is an ideal by construction use ``_trusted_ideal``, which takes a mask
+and skips that check; each says why its result is an ideal.
 
 Rings compare by identity and are immutable after construction, so they are
 safe to share.  Structures derived from a ring (its ideal lattice, spectra
@@ -26,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
+from operator import or_
 
 import numpy as np
 
@@ -152,20 +156,30 @@ class FiniteRing:
 
     @cached_property
     def principal(self):
-        """``principal[g]`` is the member set of R·g = {r*g : r in R}.
+        """``principal[g]`` is the element mask of R·g = {r*g : r in R}.
 
         R·g is already an ideal, with no additive closure needed: it holds
         0·g and g = 1·g, r·g + s·g = (r+s)·g and s·(r·g) = (s·r)·g.
         """
-        # one frozenset per distinct ideal: many generators share one
-        distinct = {}
-        return tuple(distinct.setdefault(s, s) for s in map(frozenset, self.mul_rows))
+        return tuple(map(_mask, self.mul_rows))
+
+    @cached_property
+    def powers(self):
+        """``powers[x]`` is the element mask of {x^k : k >= 1}."""
+        out = []
+        for x, row in enumerate(self.mul_rows):
+            m, p = 0, x
+            while not m >> p & 1:  # powers of x cycle once one repeats
+                m |= 1 << p
+                p = row[p]
+            out.append(m)
+        return tuple(out)
 
     def sub(self, a, b):
         return self.add_rows[a][int(self.neg[b])]
 
     def is_unit(self, x):
-        return self.one in self.principal[x]
+        return self.principal[x] >> self.one & 1 == 1
 
     @cached_property
     def units(self):
@@ -203,53 +217,61 @@ def _additive_generators(add):
     return gens
 
 
-@dataclass(frozen=True)
-class Ideal:
-    """An ideal given by its member set; ``proper`` is False exactly for R.
+def _mask(elements):
+    """Element bitmask of an iterable of element indices."""
+    return reduce(or_, (1 << x for x in elements), 0)
 
-    The public constructor checks that the members are element indices of
-    the ring and validates the ideal axioms (zero, closure under addition,
-    absorption), so a member set from outside is always checked.
-    The library's own builders construct through ``_trusted_ideal`` instead,
-    which skips the check: their results are ideals by construction, being
-    principal ideals R·g, sums and intersections of ideals, spans, radicals,
-    or preimages of ideals under ring homs.  ``tests/test_ideals.py``
+
+def _bits(mask):
+    """The set bits of an element mask, lowest first: its elements, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+@dataclass(frozen=True, init=False)
+class Ideal:
+    """An ideal given by its element mask; ``proper`` is False exactly for R.
+
+    The public constructor takes a member set, checks that its members are
+    element indices of the ring and validates the ideal axioms (zero, closure
+    under addition, absorption), so a member set from outside is always
+    checked.  The library's own builders construct through ``_trusted_ideal``
+    instead, which skips the check: their results are ideals by construction,
+    being principal ideals R·g, sums and intersections of ideals, spans,
+    radicals, or preimages of ideals under ring homs.  ``tests/test_ideals.py``
     certifies every such builder against a subset-filter oracle.
     """
 
     ring: FiniteRing
-    members: frozenset
+    mask: int
 
-    def __post_init__(self):
-        R = self.ring
-        m = self.members
-        if not set(R.elements).issuperset(m):
+    def __init__(self, ring, members):
+        m = frozenset(members)
+        if not set(ring.elements).issuperset(m):
             raise RingAxiomError("ideal members must be element indices of the ring")
-        if R.zero not in m:
+        if ring.zero not in m:
             raise RingAxiomError("ideal must contain zero")
-        add, principal = R.add_rows, R.principal
-        for a in m:
+        mask = _mask(m)
+        add, principal = ring.add_rows, ring.principal
+        for a in _bits(mask):
             row = add[a]
             if any(row[b] not in m for b in m):
                 raise RingAxiomError("ideal not closed under addition")
-            if not principal[a] <= m:
+            if principal[a] & ~mask:
                 raise RingAxiomError("ideal does not absorb ring multiplication")
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "mask", mask)
+
+    @cached_property
+    def members(self):
+        """The member set, as a frozenset of element indices."""
+        return frozenset(_bits(self.mask))
 
     @property
     def proper(self):
-        return len(self.members) < self.ring.size
-
-    @cached_property
-    def mask(self):
-        """Element-membership bitmask; bit i set iff element i belongs."""
-        m = 0
-        for x in self.members:
-            m |= 1 << x
-        return m
-
-    @cached_property
-    def sort_key(self):
-        return (len(self.members), tuple(sorted(self.members)))
+        return len(self) < self.ring.size
 
     def __contains__(self, x):
         return x in self.members
@@ -258,17 +280,17 @@ class Ideal:
         return self.mask & ~other.mask == 0
 
     def __lt__(self, other):
-        return self.members < other.members
+        return self.mask != other.mask and self <= other
 
     def __len__(self):
-        return len(self.members)
+        return self.mask.bit_count()
 
     @cached_property
     def name(self):
         R = self.ring
         if not self.proper:
             return "R"
-        if len(self.members) == 1:
+        if len(self) == 1:
             return "o"
         gens = _minimal_generators(self)
         return "⟨" + ",".join(R.name(g) for g in gens) + "⟩"
@@ -277,59 +299,67 @@ class Ideal:
         return f"Ideal({self.name} of {self.ring.label})"
 
 
-def _trusted_ideal(R, members):
-    """An Ideal of R from a frozenset the caller knows to be an ideal.
+def _trusted_ideal(R, mask):
+    """An Ideal of R from an element mask the caller knows to be an ideal.
 
-    Skips ``Ideal.__post_init__`` (and so its O(|a|·|R|) validation); only
-    for builders whose result is an ideal by construction.
+    Skips the validation of ``Ideal.__init__`` (and so its O(|a|·|R|) cost);
+    only for builders whose result is an ideal by construction.
     """
     a = object.__new__(Ideal)
     object.__setattr__(a, "ring", R)
-    object.__setattr__(a, "members", members)
+    object.__setattr__(a, "mask", mask)
     return a
 
 
-def _sum_members(R, a, b):
-    """{x + y : x in a, y in b}: the sum of two ideals, itself an ideal."""
+def _sum_mask(R, a, b):
+    """a + b for the element masks of two ideals: the union of the cosets
+    a + y for y in b.  The cosets of a partition R and the sum so far is a
+    union of them, so a y it already holds adds nothing."""
     add = R.add_rows
-    return frozenset([add[x][y] for x in a for y in b])
+    acc = a
+    for y in _bits(b):
+        if not acc >> y & 1:
+            row = add[y]
+            for x in _bits(a):
+                acc |= 1 << row[x]
+    return acc
 
 
 def _span(R, seed):
-    """Smallest ideal member-set containing ``seed``.
+    """Element mask of the smallest ideal containing ``seed``.
 
     A fold over the seed: the accumulator is always an ideal, and each
     generator not yet in it adds the principal ideal R·g by an ideal sum.
     """
-    acc = frozenset((R.zero,))
+    acc = 1 << R.zero
     for g in seed:
-        if g not in acc:
-            acc = _sum_members(R, acc, R.principal[g])
+        if not acc >> g & 1:
+            acc = _sum_mask(R, acc, R.principal[g])
     return acc
 
 
 def _minimal_generators(a):
     """Canonical small generating set, singletons first, then greedy."""
     R = a.ring
-    for x in sorted(a.members):
-        if R.principal[x] == a.members:
+    for x in _bits(a.mask):
+        if R.principal[x] == a.mask:
             return (x,)
     gens = []
-    have = frozenset({R.zero})
-    while have != a.members:
-        x = min(a.members - have)
+    have = 1 << R.zero
+    while have != a.mask:
+        x = next(_bits(a.mask & ~have))
         gens.append(x)
-        have = _span(R, gens)
+        have = _sum_mask(R, have, R.principal[x])
     return tuple(gens)
 
 
 def zero_ideal(R):
-    return _trusted_ideal(R, frozenset({R.zero}))
+    return _trusted_ideal(R, 1 << R.zero)
 
 
 def unit_ideal(R):
     """The improper ideal R itself (proper flag False)."""
-    return _trusted_ideal(R, frozenset(R.elements))
+    return _trusted_ideal(R, (1 << R.size) - 1)
 
 
 @dataclass(frozen=True)
@@ -358,11 +388,13 @@ class RingHom:
     def __call__(self, x):
         return self.map[x]
 
+    def preimage(self, mask):
+        """Element mask of the preimage of a target element mask."""
+        return _mask(x for x, y in enumerate(self.map) if mask >> y & 1)
+
     def kernel(self):
         """The preimage of zero, an ideal because the map is a ring hom."""
-        zero = self.target.zero
-        return _trusted_ideal(self.source,
-                              frozenset(x for x, y in enumerate(self.map) if y == zero))
+        return _trusted_ideal(self.source, self.preimage(1 << self.target.zero))
 
     def is_surjective(self):
         return len(set(self.map)) == self.target.size
@@ -469,7 +501,7 @@ def make_quotient(R, a, caps=DEFAULT_CAPS, label=None):
         if r in coset_of:
             continue
         row = R.add_rows[r]
-        coset = sorted(row[m] for m in a.members)
+        coset = sorted(row[m] for m in _bits(a.mask))
         rep = coset[0]
         reps.append(rep)
         for x in coset:
@@ -504,7 +536,7 @@ def localize(R, S, caps=DEFAULT_CAPS, label=None):
         e = rmul[e][p]
     else:  # pragma: no cover - impossible: powers of p must hit an idempotent
         raise RingAxiomError("no idempotent power found")
-    members = sorted(R.principal[e])
+    members = list(_bits(R.principal[e]))
     index_of = {x: i for i, x in enumerate(members)}
     add = [[index_of[radd[x][y]] for y in members] for x in members]
     mul = [[index_of[rmul[x][y]] for y in members] for x in members]

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
+from operator import and_
 
 import numpy as np
 
@@ -25,7 +26,7 @@ from .ideals import (
     witness_order,
 )
 from .reports import FAILS, HOLDS, VACUOUS, VerdictReport, w_ideal
-from .rings import RingHom, _trusted_ideal, unit_ideal
+from .rings import RingHom, _trusted_ideal
 
 
 class Spectrum:
@@ -188,12 +189,9 @@ def hull_mask(spec, a):
 
 def kernel(S):
     """Intersection of the member ideals; the empty set yields R (improper)."""
-    spec = S.spectrum
-    if S.is_empty:
-        return unit_ideal(spec.ring)
-    members = reduce(lambda m, p: m & p.members, S.ideals,
-                     frozenset(spec.ring.elements))
-    return _trusted_ideal(spec.ring, members)  # a meet of ideals
+    R = S.spectrum.ring
+    # a meet of ideals; the empty meet is R
+    return _trusted_ideal(R, reduce(and_, (p.mask for p in S.ideals), (1 << R.size) - 1))
 
 
 def image_of_kernel(spec):

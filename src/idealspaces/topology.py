@@ -21,6 +21,7 @@ from .caps import DEFAULT_CAPS
 from .errors import CapExceeded, HypothesisViolated, MixedRings, NoPartitionFound
 from .ideals import enumerate_ideals, jacobson_radical
 from .reports import FAILS, HOLDS, VerdictReport, w_ideal, w_point_set
+from .rings import _bits
 from .spectra import PointSet, has_partition_of_unity, hull_mask
 
 
@@ -256,7 +257,7 @@ def extract_idempotent(T, pair):
     spec = T.spectrum
     if a.ring is not R or b.ring is not R:
         raise MixedRings("pair must be ideals of the space's ring")
-    if len(jacobson_radical(R).members) != 1:
+    if len(jacobson_radical(R)) != 1:
         raise HypothesisViolated("ring does not have zero Jacobson radical")
     lat = enumerate_ideals(R)
     for m in lat.maximal_ideals():
@@ -271,8 +272,8 @@ def extract_idempotent(T, pair):
     if ha | hb != spec.full_mask:
         raise HypothesisViolated("hulls do not cover the spectrum")
     add, mul = R.add_rows, R.mul_rows
-    for x in sorted(a.members):
-        for y in sorted(b.members):
+    for x in _bits(a.mask):
+        for y in _bits(b.mask):
             if add[x][y] == R.one:
                 if mul[x][y] != R.zero or mul[x][x] != x:
                     raise HypothesisViolated(

@@ -39,6 +39,7 @@ from .errors import IdealSpacesError
 from .ideals import (
     ALL_KINDS,
     SpectrumKind,
+    _bit_matrix,
     enumerate_ideals,
     generate_ideal,
     jacobson_radical,
@@ -53,6 +54,8 @@ from .reports import (
     w_point_set,
 )
 from .rings import (
+    _bits,
+    _span,
     is_von_neumann_regular,
     localize,
     make_quotient,
@@ -145,29 +148,16 @@ class HomView:
     @cached_property
     def contract(self):
         f = self.hom
-        src = enumerate_ideals(f.source, self.caps)
-        fibre = [0] * f.target.size  # fibre[y]: element mask of f⁻¹(y)
-        for x, y in enumerate(f.map):
-            fibre[y] |= 1 << x
-        out = []
-        for b in enumerate_ideals(f.target, self.caps).ideals:
-            pre = 0
-            for y in b.members:
-                pre |= fibre[y]
-            out.append(src.mask_index[pre])
-        return tuple(out)
+        index = enumerate_ideals(f.source, self.caps).mask_index
+        return tuple(index[f.preimage(m)]
+                     for m in enumerate_ideals(f.target, self.caps).masks)
 
     @cached_property
     def pushed(self):
         f = self.hom
-        tgt = enumerate_ideals(f.target, self.caps)
-        out = []
-        for a in enumerate_ideals(f.source, self.caps).ideals:
-            image = 0
-            for x in a.members:
-                image |= 1 << f.map[x]
-            out.append(tgt.smallest_containing(image))
-        return tuple(out)
+        index = enumerate_ideals(f.target, self.caps).mask_index
+        return tuple(index[_span(f.target, (f.map[x] for x in _bits(m)))]
+                     for m in enumerate_ideals(f.source, self.caps).masks)
 
     @cached_property
     def adjoint_misses(self):
@@ -207,15 +197,6 @@ def _hom_views(R, caps):
             views.append(HomView(localize(R, S, caps=caps)[1], caps, S))
         R._derived["hom_views"] = views
     return views
-
-
-def _bit_matrix(masks, width):
-    """Bool matrix whose row r holds bits 0..width-1 of the int ``masks[r]``
-    (Python ints, so any width)."""
-    nbytes = max(1, (width + 7) // 8)
-    raw = np.frombuffer(b"".join(m.to_bytes(nbytes, "little") for m in masks),
-                        dtype=np.uint8).reshape(len(masks), nbytes)
-    return np.unpackbits(raw, axis=1, bitorder="little")[:, :width].astype(bool)
 
 
 def _kernel_indices(spec, subsets):
@@ -474,11 +455,6 @@ def _run_t06(R, kind, caps):
 # T07  the strongly irreducible spectrum
 
 
-def _lowest(mask):
-    """Index of the lowest set bit: the first ideal of a row in canonical order."""
-    return (mask & -mask).bit_length() - 1
-
-
 def _run_t07(R, kind, caps):
     lat, spec = _ctx(R, kind, caps)
     triple = _meet_inclusion_failure(spec, lat.witness_indices)
@@ -488,11 +464,11 @@ def _run_t07(R, kind, caps):
     rows = lat.kind_rows  # no row but FGN's holds R
     if bad := rows[SpectrumKind.SPC] ^ (rows[SpectrumKind.IRS] & rows[SpectrumKind.RAD]):
         return _fail("T07", {"part": "prime ⟺ strongly irreducible ∧ radical",
-                             "a": w_ideal(lat.ideals[_lowest(bad)])})
+                             "a": w_ideal(lat.ideals[next(_bits(bad))])})
     for sub in (SpectrumKind.SPC, SpectrumKind.SPN, SpectrumKind.MAX):
         if missing := rows[sub] & ~spec.row:
             return _fail("T07", {"part": f"{sub.title} ⊆ Irs",
-                                 "p": w_ideal(lat.ideals[_lowest(missing)])})
+                                 "p": w_ideal(lat.ideals[next(_bits(missing))])})
     return _hold("T07", notes="mip holds over all ideal pairs; sub-spectra contained")
 
 
@@ -663,10 +639,10 @@ def _run_t13(R, kind, caps):
 
 
 def _hypotheses_pr1(R, spec, T, caps):
-    if len(jacobson_radical(R, caps).members) != 1:
+    if len(jacobson_radical(R, caps)) != 1:
         return None, "Jacobson radical is nonzero"
     if missing := spec.lattice.kind_rows[SpectrumKind.MAX] & ~spec.row:
-        name = spec.lattice.ideals[_lowest(missing)].name
+        name = spec.lattice.ideals[next(_bits(missing))].name
         return None, f"maximal ideal {name} not a spectrum point"
     pair = subbase_pair(T)
     if pair is None:
@@ -706,7 +682,7 @@ def _run_t15(R, kind, caps):
     f = R.sub(R.one, e)
     gen_e = generate_ideal(R, (e,))
     gen_f = generate_ideal(R, (f,))
-    if gen_e.members != a.members or gen_f.members != b.members:
+    if gen_e != a or gen_f != b:
         return _fail("T15", {"a": w_ideal(a), "b": w_ideal(b),
                              "⟨e⟩": w_ideal(gen_e), "⟨1-e⟩": w_ideal(gen_f)})
     if hull_mask(spec, gen_e) != hull_mask(spec, a) or \
@@ -742,7 +718,7 @@ def _run_t17(R, kind, caps):
         return _vac("T17", notes="not a product ring; example does not instantiate")
     lat, spec = _ctx(R, kind, caps)
     T = generate_topology(spec, caps)
-    if len(jacobson_radical(R, caps).members) != 1:
+    if len(jacobson_radical(R, caps)) != 1:
         return _vac("T17", notes="Jacobson radical nonzero")
     nontrivial = [x for x in R.idempotents if x not in (R.zero, R.one)]
     if not nontrivial:

@@ -29,6 +29,25 @@ def brute_force_ideal_sets(R):
     return set(out)
 
 
+def pair_closure_ideal_sets(R):
+    """Every ideal of R as a member set, in canonical order (size first, then
+    the ascending element tuple): the principal ideals R·g closed under
+    pairwise sums {x + y : x in a, y in b}, all on frozensets.  Not
+    exhaustive over subsets, so it also serves rings too large for
+    ``brute_force_ideal_sets``."""
+    add, mul = R.add.tolist(), R.mul.tolist()
+    seen = {frozenset(row) for row in mul}
+    frontier = list(seen)
+    while frontier:
+        m = frontier.pop()
+        for other in list(seen):
+            s = frozenset([add[x][y] for x in m for y in other])
+            if s not in seen:
+                seen.add(s)
+                frontier.append(s)
+    return sorted(seen, key=lambda s: (len(s), sorted(s)))
+
+
 def brute_force_is_prime(R, members):
     """Primality via the coset multiplication table: no zero divisors mod a."""
     if len(members) == R.size:

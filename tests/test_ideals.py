@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,6 +7,8 @@ from hypothesis import strategies as st
 from idealspaces import (
     ALL_KINDS,
     DEFAULT_CAPS,
+    Ideal,
+    IdealLattice,
     MixedRings,
     SpectrumKind,
     classify,
@@ -30,7 +34,12 @@ from idealspaces.spectra import (
     make_spectrum,
 )
 from idealspaces.verify import _hom_views
-from oracles import brute_force_ideal_sets, brute_force_is_prime, brute_force_radical_members
+from oracles import (
+    brute_force_ideal_sets,
+    brute_force_is_prime,
+    brute_force_radical_members,
+    pair_closure_ideal_sets,
+)
 
 
 def test_enumeration_matches_subset_filter_oracle(small_rings):
@@ -43,6 +52,22 @@ def test_enumeration_matches_oracle_on_extra_rings(ring):
     for expr in ("Z16", "Z2xZ6", "Z9"):
         R = ring(expr)
         assert {a.members for a in enumerate_ideals(R).ideals} == brute_force_ideal_sets(R)
+
+
+@pytest.mark.parametrize("expr", ["Z60", "Z64", "Z4xZ4xZ4", "Z2xZ2xZ2xZ2xZ2",
+                                  "Z2xZ2xZ2xZ2xZ2xZ2"])
+def test_enumeration_and_order_match_the_pair_closure(ring, expr):
+    """The mask closure gives the frozenset pair closure's member sets, in its
+    canonical order, on rings too large for the subset filter."""
+    R = ring(expr)
+    got = [a.members for a in enumerate_ideals(R).ideals]
+    assert got == pair_closure_ideal_sets(R)
+
+
+def test_ideals_are_stored_as_element_masks():
+    """One stored form: the element mask.  Member sets are derived from it."""
+    assert [f.name for f in fields(Ideal)] == ["ring", "mask"]
+    assert [f.name for f in fields(IdealLattice)] == ["ring", "masks"]
 
 
 class TestGenerateIdeal:
@@ -223,4 +248,4 @@ class TestTrustedBuilders:
             for mask in range(1 << R.size):
                 seed = [x for x in R.elements if mask >> x & 1]
                 smallest = min((a for a in oracle if a.issuperset(seed)), key=len)
-                assert _span(R, seed) == smallest, (R.label, seed)
+                assert _span(R, seed) == sum(1 << x for x in smallest), (R.label, seed)
