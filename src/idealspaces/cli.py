@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 from .caps import DEFAULT_CAPS
 from .errors import CapExceeded, IdealSpacesError, ParseError
@@ -51,7 +52,6 @@ def _build_parser():
         if kinds:
             sp.add_argument("--kind", action="append", default=[],
                             metavar="K", help=f"spectrum kind, one of {', '.join(_KIND_NAMES)}")
-        sp.add_argument("--format", choices=("text", "json"), default="text")
         sp.add_argument("--ascii", action="store_true",
                         help="ASCII ideal rendering in text mode")
         sp.add_argument("--out", metavar="PATH", help="write output to a file")
@@ -75,12 +75,14 @@ def _build_parser():
 
     sp = sub.add_parser("verify", help="run registry checks over rings x kinds")
     common(sp, kinds=True)
+    sp.add_argument("--format", choices=("text", "json"), default="text")
     sp.add_argument("--check", action="append", default=[], metavar="ID|all")
     sp.add_argument("--timings", action="store_true",
                     help="record per-item runtimes (breaks byte-identical output)")
 
     sp = sub.add_parser("search", help="hunt counterexamples over a ring family")
     common(sp, rings=False, kinds=True)
+    sp.add_argument("--format", choices=("text", "json"), default="text")
     sp.add_argument("--check", required=True, metavar="ID")
     sp.add_argument("--family", required=True, metavar="SPEC",
                     help="zmod:LO..HI or exprs:A,B,...")
@@ -89,9 +91,8 @@ def _build_parser():
 
 
 def _caps_from(ns):
-    return DEFAULT_CAPS.with_overrides(
-        max_ideals=getattr(ns, "max_ideals", None),
-        max_closed_sets=getattr(ns, "max_closed_sets", None))
+    given = {k: getattr(ns, k, None) for k in ("max_ideals", "max_closed_sets")}
+    return replace(DEFAULT_CAPS, **{k: v for k, v in given.items() if v is not None})
 
 
 def _kinds_from(ns):

@@ -50,9 +50,6 @@ class Spectrum:
       order: the quantifier domain of the meet-inclusion checks;
     - ``above[j]`` is the hull row of point j, the mask of the points
       containing it: the point order, which is also the topology's closures.
-
-    ``topology`` holds the spectrum's ``TopologySpace`` once
-    ``generate_topology`` has built it.
     """
 
     def __init__(self, lattice, kind):
@@ -65,7 +62,6 @@ class Spectrum:
         self.points = tuple(lattice.ideals[i] for i in self.lattice_indices)
         self.index = {p: i for i, p in enumerate(self.points)}
         self.label = f"{self.kind.title}({self.ring.label})"
-        self.topology = None
 
     def __len__(self):
         return len(self.points)

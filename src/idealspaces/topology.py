@@ -8,8 +8,9 @@ of point j, one row of the spectrum's hull table, and every predicate here
 reads it: closures, irreducible closed sets, separation, closedness, and
 connectedness (the components are the point closures merged where they
 overlap).  The closed family itself is enumerated only for display, on first
-read, under the ``max_closed_sets`` cap.  Closed sets are bitmasks over
-spectrum points, and exceeding a cap raises instead of approximating.
+read, under the ``max_closed_sets`` cap of the call that built the space.
+Closed sets are bitmasks over spectrum points, and exceeding a cap raises
+instead of approximating.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .spectra import PointSet, has_partition_of_unity, hull_mask
 
 
 class TopologySpace:
-    """A spectrum with its subbase, read off the point order.
+    """A spectrum as a space, read off its point order.
 
     ``above[j]`` is the mask of the points containing point j, which is both
     h(points[j]) and the closure of {points[j]}; a mask is closed iff it is an
@@ -41,7 +42,10 @@ class TopologySpace:
         self.spectrum = spectrum
         self.max_closed = max_closed
         self.above = spectrum.above
-        self.subbase_masks = tuple(sorted(set(spectrum.hulls)))
+
+    @cached_property
+    def subbase_masks(self):
+        return tuple(sorted(set(self.spectrum.hulls)))
 
     @cached_property
     def closed_masks(self):
@@ -84,12 +88,11 @@ class TopologySpace:
 
 
 def generate_topology(spec, caps=DEFAULT_CAPS):
-    """The topology of a spectrum, built on first use, caps included, and kept on it."""
-    if len(spec) > caps.max_points:
-        raise CapExceeded(f"{len(spec)} points exceed cap {caps.max_points}")
-    if spec.topology is None:
-        spec.topology = TopologySpace(spec, caps.max_closed_sets)
-    return spec.topology
+    """The topology of a spectrum under this call's closed-family cap.
+
+    The point order is the spectrum's own ``above`` table, so a space costs
+    almost nothing to build and none is kept between calls."""
+    return TopologySpace(spec, caps.max_closed_sets)
 
 
 def closure_of(T, S):

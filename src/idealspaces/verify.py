@@ -10,9 +10,9 @@ Witness selection is deterministic: ideals are searched largest-first, in
 reports.  Point membership is a bit of the spectrum's kind row.
 
 Every check starts from ``_ctx``: the (ring, kind) spectrum and its lattice.
-Only the checks that read the point order as a space (T05, T08-T17, T20 and
-T23) build the topology, with ``generate_topology``, so the ``max_points`` cap
-refuses only them; the others read the spectrum's tables whatever its size.
+The checks that read the point order as a space (T05, T08-T17, T20 and T23)
+wrap the spectrum in a ``generate_topology`` space; the others read its
+tables directly.
 
 The contraction checks T18-T22 share one record per (hom, kind),
 ``HomView.at``: the source point of each target point, their mask and the
@@ -404,10 +404,8 @@ def _run_t06(R, kind, caps):
     lat, spec = _ctx(R, kind, caps)
     L, masks, leq = lat.ideals, lat.masks, lat.leq
     hulls, xr, rad = spec.hulls, spec.x_radicals, lat.radical
-    order = lat.witness_indices
-    notes = []
 
-    for i in order:
+    for i in lat.witness_indices:
         if masks[i] & ~masks[xr[i]]:
             return _fail("T06", {"part": "a ⊆ √[X]a", "a": w_ideal(L[i])})
         if masks[xr[i]] & ~masks[rad[i]]:
@@ -424,7 +422,7 @@ def _run_t06(R, kind, caps):
         if hulls[xr[i]] != hulls[i]:
             return _fail("T06", {"part": "h(√[X]a) = h(a)", "a": w_ideal(L[i])})
     # h(a) ⊆ h(b) iff no point holds a but not b, iff the boolean product
-    # H·¬Hᵀ is false at (a, b); each law compares that matrix with an
+    # H·¬Hᵀ is false at (a, b); the law compares that matrix with an
     # inclusion matrix, and the first failing (a, b) is the first mismatch
     # in row-major order
     H = _bit_matrix(hulls, len(spec))  # H[i, j]: a_i ⊆ point j
@@ -434,21 +432,13 @@ def _run_t06(R, kind, caps):
         i, j = divmod(int(bad[0]), len(L))
         return _fail("T06", {"part": "h(a)⊆h(b) ⟺ √[X]b⊆√[X]a",
                              "a": w_ideal(L[i]), "b": w_ideal(L[j])})
-    if is_von_neumann_regular(R):
-        bad = np.flatnonzero((hsub != leq.T)[np.ix_(order, order)])
-        if bad.size:
-            i, j = divmod(int(bad[0]), len(order))
-            return _fail(
-                "T06",
-                {"part": "regular ring: h(a)⊆h(b) ⟺ b⊆a",
-                 "a": w_ideal(L[order[i]]), "b": w_ideal(L[order[j]])},
-                notes="fails when some proper ideal has an empty hull")
-        notes.append("regular-ring criterion checked")
-    else:
-        notes.append("ring not von Neumann regular; regular-ring part skipped")
+    # on a regular ring √a = a, so a ⊆ √[X]a ⊆ √a forces √[X]a = a and the
+    # order law just passed is exactly the criterion h(a)⊆h(b) ⟺ b⊆a
+    note = ("regular-ring criterion checked" if is_von_neumann_regular(R)
+            else "ring not von Neumann regular; regular-ring part skipped")
     if set(hulls) != {hulls[i] for i in spec.kernel_image}:
         return _fail("T06", {"part": "C_h = C_hk"})
-    return _hold("T06", notes="; ".join(notes))
+    return _hold("T06", notes=note)
 
 
 # ---------------------------------------------------------------------------

@@ -50,6 +50,13 @@ class TestExitCodes:
         assert run_cli("topology", "--ring", "Z6xZ6", "--kind", "prp",
                        "--max-closed-sets", "10") == 3
 
+    @pytest.mark.parametrize("verb", ["ring", "ideals", "spectrum", "topology"])
+    def test_format_is_a_usage_error_where_nothing_reads_it(self, verb, capsys):
+        # only verify and search print json
+        with pytest.raises(SystemExit) as exc:
+            run_cli(verb, "--ring", "Z4", "--format", "json")
+        assert exc.value.code == 2
+
 
 class TestOutputs:
     def test_topology_props(self, capsys):

@@ -15,7 +15,6 @@ import hashlib
 from collections import Counter
 from functools import lru_cache
 
-import numpy as np
 import pytest
 
 from conftest import get_ring
@@ -387,13 +386,13 @@ def test_no_check_reads_the_closed_family():
 
 
 class TestRaisedCaps:
-    """Raised point caps, run on the reduced bodies."""
+    """A raised closed-family cap, run on the reduced bodies."""
 
     # sha256 of the run_suite JSON lines under RAISED: the records of the
     # closed-family scans, except that the 14 T01 notes carry the exhaustive
     # wording of the reduced T01 where the scans' T01 sampled; see the test's
     # docstring
-    RAISED = Caps(max_points=64, max_closed_sets=10**6)
+    RAISED = Caps(max_closed_sets=10**6)
     DIGESTS = {
         "Z4xZ4xZ4": "e3d8ea822c32cc12fb162bcdf77a60534a71de9a09e861069a589dc7708b827c",
         "Z2xZ2xZ2xZ2xZ2": "e4bbb345f27067b3ed7cd0c12378a836975f52cbf9f28309409a56fc7ffa3ea8",
@@ -412,7 +411,7 @@ class TestRaisedCaps:
 
             PYTHONPATH=src python -c "import hashlib, sys; from idealspaces import *; \\
             print(hashlib.sha256(''.join(r.to_json() + '\\n' for r in run_suite(SuiteConfig( \\
-            ring_exprs=(sys.argv[1],), caps=Caps(max_points=64, max_closed_sets=10**6)))) \\
+            ring_exprs=(sys.argv[1],), caps=Caps(max_closed_sets=10**6)))) \\
             .encode()).hexdigest())" Z2xZ2xZ2xZ2xZ2
         """
         records = run_suite(SuiteConfig(ring_exprs=(expr,), caps=self.RAISED))
@@ -429,15 +428,8 @@ class TestRaisedCaps:
         text = "".join(r.to_json() + "\n" for r in records)
         assert hashlib.sha256(text.encode()).hexdigest() == self.DIGESTS[expr]
 
-    def test_sixty_three_points_run_without_errors(self):
-        # 63 points, whose closed family has M(6) - 1 = 7,828,353 up-sets
-        records = run_suite(SuiteConfig(ring_exprs=("Z2xZ2xZ2xZ2xZ2xZ2",),
-                                        caps=Caps(max_points=64)))
-        assert len(records) == 310
-        assert not [r for r in records if r.status == "error"]
-        assert {r.id for r in records} == set(ALL_CHECK_IDS)
-
     def test_sixty_three_points_run_without_errors_at_default_caps(self):
+        # 63 points, whose closed family has M(6) - 1 = 7,828,353 up-sets
         records = run_suite(SuiteConfig(ring_exprs=("Z2xZ2xZ2xZ2xZ2xZ2",)))
         assert len(records) == 310
         assert not [r for r in records if r.status == "error"]
@@ -506,7 +498,7 @@ class TestT06:
                 assert (rep.status, rep.witness, rep.notes) == \
                     (ref.status, ref.witness, ref.notes), (R.label, kind)
                 outcomes[rep.status, (rep.witness or {}).get("part")] += 1
-        # no real instance reaches a failing pair law: the tests below do
+        # no real instance reaches a failing pair law: the test below does
         assert set(outcomes) == {(HOLDS, None), (FAILS, "√[X]a ⊆ √a")}
 
     def test_a_wrong_x_radical_pins_the_first_failing_pair(self):
@@ -525,19 +517,6 @@ class TestT06:
         assert rep == _scalar_t06(R, "spc")
         assert rep.witness == {"part": "h(a)⊆h(b) ⟺ √[X]b⊆√[X]a",
                                "a": w_ideal(lat.ideals[four]), "b": w_ideal(lat.ideals[0])}
-
-    def test_a_wrong_radical_table_pins_the_regular_law(self):
-        # on a regular ring √[X]a ⊆ √a = a makes the regular law the order
-        # law, so it fails only where √[X]a ⊆ √a fails first (a proper ideal
-        # with an empty hull); a radical table of R everywhere lets it through
-        R = parse_ring_expression("Z2xZ2xZ2")
-        lat = make_spectrum(R, "min").lattice  # kind rows read the true table
-        lat.__dict__["radical"] = np.full(len(lat), len(lat) - 1)
-        rep = run_check("T06", R, "min")
-        assert rep == _scalar_t06(R, "min")
-        assert rep.witness == {"part": "regular ring: h(a)⊆h(b) ⟺ b⊆a",
-                               "a": w_ideal(next(a for a in lat.ideals if a.name == "⟨(1,1,0)⟩")),
-                               "b": w_ideal(lat.ideals[-1])}
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,7 @@ from idealspaces import (
     x_radical,
     zero_ideal,
 )
-from idealspaces import exprs
+from idealspaces import exprs, verify
 from idealspaces.reports import FAILS, HOLDS, VerdictReport, w_ideal
 from idealspaces.spectra import hull_mask
 from idealspaces.verify import _hom_views
@@ -182,15 +182,16 @@ class TestHomViews:
 
     def test_no_target_topology_is_built(self, monkeypatch):
         # T18-T22 read the target spectra's tables, never their topologies
-        parsed = []
-        parse = exprs.parse_ring_expression
+        parsed, spaces = [], []
+        parse, generate = exprs.parse_ring_expression, verify.generate_topology
         monkeypatch.setattr(exprs, "parse_ring_expression",
                             lambda *args: parsed.append(parse(*args)) or parsed[-1])
+        monkeypatch.setattr(verify, "generate_topology",
+                            lambda spec, caps: spaces.append(spec) or generate(spec, caps))
         run_suite(SuiteConfig(ring_exprs=("Z12", "Z2xZ4")))
-        targets = [spec for R in parsed for v in _hom_views(R, DEFAULT_CAPS)
-                   for spec in v.hom.target._derived.get("spectra", {}).values()]
-        assert len(parsed) == 2 and targets
-        assert [s.label for s in targets if s.topology is not None] == []
+        targets = {id(v.hom.target) for R in parsed for v in _hom_views(R, DEFAULT_CAPS)}
+        assert len(parsed) == 2 and targets and spaces
+        assert not targets & {id(spec.ring) for spec in spaces}
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +371,7 @@ class TestT01Vectorised:
             assert (got.witness["S"], got.witness["a"]["ideal"]) == ([point], a)
 
     def test_no_note_says_sampled(self, suite_rings):
-        caps = Caps(max_points=64)
+        caps = Caps()
         wide = [parse_ring_expression(e, caps) for e in ("Z2xZ2xZ2xZ2xZ2", "Z4xZ4xZ4")]
         for R in (*suite_rings, *wide):
             for kind in ALL_KINDS:

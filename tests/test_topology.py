@@ -8,6 +8,7 @@ from conftest import get_ring
 from idealspaces import (
     ALL_KINDS,
     DEFAULT_SUITE_EXPRS,
+    DEFAULT_CAPS,
     Caps,
     CapExceeded,
     HypothesisViolated,
@@ -76,8 +77,19 @@ class TestFamilies:
         T = generate_topology(spec, Caps(max_closed_sets=10))
         with pytest.raises(CapExceeded, match=r"^closed base exceeds cap 10$"):
             T.closed_masks
-        with pytest.raises(CapExceeded, match=r"^15 points exceed cap 4$"):
-            generate_topology(spec, Caps(max_points=4))
+
+    @pytest.mark.parametrize("capped_first", [False, True])
+    def test_closed_family_cap_holds_on_every_call(self, capped_first):
+        # each call's cap binds its own space, whichever call came first
+        spec = make_spectrum(parse_ring_expression("Z6xZ6"), "prp")  # fresh ring
+        calls = [(DEFAULT_CAPS, 167), (Caps(max_closed_sets=10), None)]
+        for caps, size in calls[::-1] if capped_first else calls:
+            T = generate_topology(spec, caps)
+            if size is None:
+                with pytest.raises(CapExceeded, match=r"^closed base exceeds cap 10$"):
+                    T.closed_masks
+            else:
+                assert len(T.closed_masks) == size
 
 
 def _reference_spaces():

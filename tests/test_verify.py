@@ -10,9 +10,7 @@ from hypothesis import strategies as st
 from idealspaces import (
     ALL_CHECK_IDS,
     ALL_KINDS,
-    DEFAULT_CAPS,
     REGISTRY,
-    Caps,
     FiniteRing,
     IdealSpacesError,
     SuiteConfig,
@@ -210,39 +208,6 @@ class TestSuite:
 
     def test_empty_ring_list(self):
         assert run_suite(SuiteConfig(ring_exprs=())) == []
-
-
-# the checks that read the topology, and so the only ones max_points refuses
-TOPOLOGY_CHECKS = frozenset({"T05", "T08", "T09", "T10", "T11", "T12", "T13",
-                             "T14", "T15", "T16", "T17", "T20", "T23"})
-
-
-class TestPointCap:
-    """``max_points`` refuses only the checks that build a topology."""
-
-    CAPPED = Caps(max_points=24)
-
-    # (ring, records refused, records over the cap that give verdicts)
-    @pytest.mark.parametrize("expr, refused, past_cap", [("Z2xZ2xZ2xZ2xZ2", 46, 40),
-                                                         ("Z4xZ4xZ4", 35, 30)])
-    def test_only_topology_checks_hit_the_point_cap(self, expr, refused, past_cap):
-        capped = run_suite(SuiteConfig(ring_exprs=(expr,), caps=self.CAPPED))
-        full = run_suite(SuiteConfig(ring_exprs=(expr,), caps=DEFAULT_CAPS))
-        assert [(r.id, r.kind) for r in capped] == [(r.id, r.kind) for r in full]
-        R = get_ring(expr)
-        points = {r.kind: len(make_spectrum(R, r.kind)) for r in capped}
-        bad = [r for r in capped if r.status == "error"]
-        assert len(bad) == refused
-        for r in bad:
-            assert r.id in TOPOLOGY_CHECKS and points[r.kind] > 24
-            assert r.notes == f"{points[r.kind]} points exceed cap 24"
-        assert not [r for r in full if r.status == "error"]
-        # every other record, on a spectrum past the cap or not, is the one
-        # the default caps give
-        kept = [(c, f) for c, f in zip(capped, full) if c.status != "error"]
-        assert sum(points[c.kind] > 24 for c, _f in kept) == past_cap
-        for c, f in kept:
-            assert (c.status, c.witness, c.notes) == (f.status, f.witness, f.notes)
 
 
 class TestHomeomorphism:
